@@ -6,14 +6,16 @@ LF line endings.  All probability arithmetic lives in the library modules;
 this module only parses flags, dispatches, and formats.
 
 The default seed for simulate/validate is 20090103, overridable with the
-DOUBLESPEND_SEED environment variable (read once at startup).  Identical
-flags plus an identical seed always produce byte-identical output.
+DOUBLESPEND_SEED environment variable (read once at startup).  Seeds lie in
+[0, 2**64).  Identical flags plus an identical seed always produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,6 +38,7 @@ DEFAULT_TARGETS = (0.001, 0.01, 0.1, 0.5)
 DEFAULT_GRID_Q = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_GRID_Z = (1, 3, 6, 12, 24)
 DEFAULT_TRIALS = 100_000
+MAX_Q_RANGE_VALUES = 100_000
 
 
 class UsageError(Exception):
@@ -60,18 +63,12 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}")
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag}: expected comma-separated {noun}, got {text!r}")
 
 
 def _parse_q_range(text: str) -> list[float]:
@@ -79,9 +76,14 @@ def _parse_q_range(text: str) -> list[float]:
         start, stop, step = (float(part) for part in text.split(":"))
     except ValueError:
         raise UsageError(f"--q-range: expected START:STOP:STEP, got {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"--q-range: parts must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise UsageError("--q-range: need step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_Q_RANGE_VALUES:
+        raise UsageError(f"--q-range: over {MAX_Q_RANGE_VALUES} values in {text!r}")
+    count = int(span) + 1
     return [round(start + i * step, 12) for i in range(count)]
 
 
@@ -103,9 +105,15 @@ def _check_positive(value: int, flag: str) -> int:
     return value
 
 
+def _check_seed(seed: int, source: str) -> int:
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{source} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _check_seed(args.seed, "--seed")
     return args.default_seed
 
 
@@ -150,9 +158,9 @@ def _cmd_min_z(args) -> str:
     if (args.q is None) == (args.q_range is None):
         raise UsageError("min-z needs exactly one of --q or --q-range")
     q_values = (
-        _parse_float_list(args.q, "--q") if args.q else _parse_q_range(args.q_range)
+        _parse_list(args.q, "--q") if args.q else _parse_q_range(args.q_range)
     )
-    targets = _parse_float_list(args.target, "--target") if args.target else list(
+    targets = _parse_list(args.target, "--target") if args.target else list(
         DEFAULT_TARGETS
     )
     for t in targets:
@@ -256,8 +264,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_validate(args) -> str:
-    q_values = _parse_float_list(args.q_values, "--q-values")
-    z_values = _parse_int_list(args.z_values, "--z-values")
+    q_values = _parse_list(args.q_values, "--q-values")
+    z_values = _parse_list(args.z_values, "--z-values", int)
     _check_positive(args.trials, "--trials")
     seed = _seed_from(args)
     variant = Variant(args.variant)
@@ -465,7 +473,7 @@ def _default_seed_from_env() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        return _check_seed(int(raw), ENV_SEED)
     except ValueError:
         raise UsageError(f"{ENV_SEED} must be an integer, got {raw!r}")
 

@@ -90,11 +90,6 @@ class MiningPowerSplit:
     def p(self) -> float:
         return 1.0 - self.q
 
-    @property
-    def is_balanced(self) -> bool:
-        """True when p and q are equal up to the switch tolerance."""
-        return abs(self.p - self.q) <= EQUAL_POWER_TOL
-
 
 @dataclass(frozen=True)
 class RuinGameSpec:
@@ -249,7 +244,12 @@ def poisson_pmf(k: int, rate: float) -> float:
 
 
 def _poisson_terms(rate: float, k_top: int) -> list[float]:
-    """pmf(0..k_top; rate) by the same evaluation scheme as poisson_pmf."""
+    """pmf(0..k_top; rate) in one pass, with poisson_pmf's two branches.
+
+    The recurrence rounds term * rate / k where poisson_pmf rounds
+    term * (rate / k), so most terms differ from poisson_pmf in the last
+    bits.  Summands, and so the model and its golden output, use this one.
+    """
     if rate == 0.0:
         return [1.0] + [0.0] * k_top
     if rate <= _PMF_LOGSPACE_RATE:

@@ -65,6 +65,11 @@ def step_offset(draw_index: int) -> int:
     return ((draw_index + 1) * _GOLDEN) & _MASK64
 
 
+def advance_keys(keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Keys whose draw j is draw j + draws[i] of stream keys[i] (wrapping)."""
+    return keys + draws.astype(np.uint64) * np.uint64(_GOLDEN)
+
+
 def bernoulli_threshold(q: float) -> int:
     """64-bit threshold T with P(raw < T) exactly equal to the float q."""
     if not 0.0 <= q <= 1.0:

@@ -10,7 +10,11 @@ loss when it reaches its starting value plus the remaining loss budget
 z + budget_surplus - k.  No formula from the closed-form model decides any
 trial; everything is coin flips.
 
-Trial t draws its coins from a counter-based substream keyed by
+Each phase is one vectorized kernel.  _wait_phase returns every trial's k;
+_chase_phase walks deficits to absorption.  run_trials runs the wait, then
+chases the trials that need it, continuing trial t's stream at draw z + k.
+empirical_k_distribution is the wait alone and empirical_catch_up the chase
+alone.  Trial t draws its coins from a counter-based substream keyed by
 (master_seed, t), so results are bit-identical for a given
 
     (config, trials, master_seed)
@@ -29,6 +33,7 @@ import numpy as np
 from .model import MiningPowerSplit, DEFAULT_BUDGET_SURPLUS
 from .rng import (
     TrialStream,
+    advance_keys,
     bernoulli_threshold,
     mix64_array,
     step_offset,
@@ -49,6 +54,7 @@ DEFAULT_MAX_BLOCKS = 1_000_000
 
 # Vector width per batch; outcomes are independent of this value.
 _BATCH_TRIALS = 1 << 20
+_FLIP_LIMIT = 2**60  # more coin flips than any run makes
 
 
 @dataclass(frozen=True)
@@ -154,89 +160,108 @@ def simulate_trial(rng_stream: TrialStream, config: TrialConfig) -> TrialRecord:
         draws += 1
 
 
-def _run_batch(
-    config: TrialConfig, master_seed: int, start: int, count: int
-) -> tuple[int, int, np.ndarray]:
-    """Race trials start..start+count-1 in lockstep; returns (wins, capped, k_wait)."""
-    z, surplus = config.z, config.budget_surplus
-    threshold = np.uint64(bernoulli_threshold(config.power.q))
-    keys = trial_keys(master_seed, count, start=start)
-    pos = np.arange(count, dtype=np.int64)
-    k_wait = np.zeros(count, dtype=np.int64)
-    chasing = np.zeros(count, dtype=bool)
-    h = np.zeros(count, dtype=np.int64)
-    k = np.zeros(count, dtype=np.int64)
-    d = np.zeros(count, dtype=np.int64)
-    loss_at = np.zeros(count, dtype=np.int64)
-    wins = 0
+def _batches(trials: int):
+    for start in range(0, trials, _BATCH_TRIALS):
+        yield start, min(_BATCH_TRIALS, trials - start)
 
-    if z == 0:
-        # The wait ends before any coin flip: k = 0, deficit 1.
-        chasing[:] = True
-        d[:] = 1
-        loss_at[:] = 1 + surplus
 
+def _fold_histogram(histogram: dict[int, int], k: np.ndarray) -> None:
+    for kk, n in enumerate(np.bincount(k)):
+        if n:
+            histogram[kk] = histogram.get(kk, 0) + int(n)
+
+
+def _keep(keep: np.ndarray, *state):
+    """Each per-stream array in state compacted to keep; scalars pass through."""
+    return [x[keep] if isinstance(x, np.ndarray) else x for x in state]
+
+
+def _wait_phase(
+    keys: np.ndarray, threshold: np.uint64, z: int, max_blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip each stream's coins until its z-th honest block; returns (k, capped).
+
+    k[i] counts attacker blocks before stream i's z-th honest block, so the
+    wait used z + k[i] draws.  A stream still short of z honest blocks after
+    max_blocks flips is capped and keeps the k it reached; that is exactly
+    where z + k[i] > max_blocks.
+    """
+    k_out = np.zeros(keys.size, dtype=np.int64)
+    pos = np.arange(keys.size)
+    k = np.zeros(keys.size, dtype=np.int64)
     step = 0
-    while keys.size and step < config.max_blocks:
-        att = mix64_array(keys + np.uint64(step_offset(step))) < threshold
+    while z > 0 and keys.size and step < max_blocks:  # z = 0 needs no flip
+        k += mix64_array(keys + np.uint64(step_offset(step))) < threshold
         step += 1
+        if step >= z:
+            done = k == step - z  # step - k honest blocks so far
+            if np.count_nonzero(done):
+                k_out[pos[done]] = k[done]
+                keys, pos, k = _keep(~done, keys, pos, k)
+    k_out[pos] = k
+    return k_out, k_out > max_blocks - z
 
-        was_chasing = chasing.copy()
-        waiting = ~chasing
-        if waiting.any():
-            k[waiting] += att[waiting]
-            h[waiting] += ~att[waiting]
-            done_wait = waiting & (h == z)
-        else:
-            done_wait = waiting  # all False
 
-        if was_chasing.any():
-            d[was_chasing] += np.where(att[was_chasing], -1, 1)
-            caught = was_chasing & (d == 0)
-            busted = was_chasing & (d == loss_at)
-        else:
-            caught = busted = was_chasing  # all False
+def _chase_phase(keys, threshold: np.uint64, d, loss_at, cap) -> tuple[int, int]:
+    """Walk each deficit d until it wins at 0, loses at loss_at or makes cap flips.
 
-        if done_wait.any():
-            k_wait[pos[done_wait]] = k[done_wait]
-            instant = done_wait.copy()
-            instant[done_wait] = z + 1 - k[done_wait] <= 0
-            enter = done_wait & ~instant
-            d[enter] = z + 1 - k[enter]
-            loss_at[enter] = d[enter] + (z + surplus - k[enter])
-            chasing[enter] = True
-        else:
-            instant = done_wait  # all False
-
-        wins += int(instant.sum()) + int(caught.sum())
-        finished = instant | caught | busted
-        if finished.any():
-            keep = ~finished
-            keys, pos, chasing = keys[keep], pos[keep], chasing[keep]
-            h, k, d, loss_at = h[keep], k[keep], d[keep], loss_at[keep]
-
-    capped = int(keys.size)
-    if capped:
-        still_waiting = ~chasing
-        if still_waiting.any():
-            k_wait[pos[still_waiting]] = k[still_waiting]
-    return wins, capped, k_wait
+    An attacker block lowers the deficit by one and an honest block raises
+    it.  d, loss_at and cap are each a scalar shared by every walk or an
+    array with one entry per walk; shared barriers stay scalars, and cap is
+    compared only once the step count reaches the smallest one.  Returns
+    (wins, capped).
+    """
+    d = np.broadcast_to(d, keys.shape).astype(np.int64)
+    wins = capped = step = 0
+    cap_floor = np.min(cap, initial=_FLIP_LIMIT)
+    while keys.size:
+        if step >= cap_floor:
+            spent = np.broadcast_to(cap <= step, keys.shape)
+            capped += int(np.count_nonzero(spent))
+            keys, d, loss_at, cap = _keep(~spent, keys, d, loss_at, cap)
+            cap_floor = np.min(cap, initial=_FLIP_LIMIT)
+            continue
+        attacker = mix64_array(keys + np.uint64(step_offset(step))) < threshold
+        d -= attacker  # in place, as -2 * attacker + 1 would allocate twice
+        d -= attacker
+        d += 1
+        step += 1
+        caught = d == 0
+        finished = caught | (d == loss_at)
+        if np.count_nonzero(finished):
+            wins += int(np.count_nonzero(caught))
+            keys, d, loss_at, cap = _keep(~finished, keys, d, loss_at, cap)
+    return wins, capped
 
 
 def run_trials(config: TrialConfig, trials: int, master_seed: int) -> SimulationResult:
     """Aggregate independent trials; deterministic in (config, trials, master_seed)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # No run makes _FLIP_LIMIT flips, so larger values act alike; clamped, the
+    # chase's barriers and caps fit int64.
+    limits = (config.z, config.budget_surplus, config.max_blocks)
+    z, surplus, max_blocks = (min(v, _FLIP_LIMIT) for v in limits)
+    threshold = np.uint64(bernoulli_threshold(config.power.q))
     wins = capped = 0
     histogram: dict[int, int] = {}
-    for batch_start in range(0, trials, _BATCH_TRIALS):
-        count = min(_BATCH_TRIALS, trials - batch_start)
-        w, c, k_wait = _run_batch(config, master_seed, batch_start, count)
-        wins += w
-        capped += c
-        for kk, n in enumerate(np.bincount(k_wait)):
-            if n:
-                histogram[int(kk)] = histogram.get(int(kk), 0) + int(n)
+    for start, count in _batches(trials):
+        keys = trial_keys(master_seed, count, start=start)
+        k, wait_capped = _wait_phase(keys, threshold, z, max_blocks)
+        # A trial capped in the wait may already have k > z; it is capped, not won.
+        chase = ~wait_capped & (k <= z)
+        kc = k[chase]
+        chase_wins, chase_capped = _chase_phase(
+            advance_keys(keys[chase], z + kc),
+            threshold,
+            z + 1 - kc,
+            2 * (z - kc) + 1 + surplus,
+            max_blocks - z - kc,
+        )
+        n_wait_capped = int(np.count_nonzero(wait_capped))
+        wins += chase_wins + count - kc.size - n_wait_capped
+        capped += chase_capped + n_wait_capped
+        _fold_histogram(histogram, k)
     return SimulationResult(config, trials, wins, histogram, master_seed, capped)
 
 
@@ -265,22 +290,9 @@ def empirical_catch_up(
         raise ValueError("trials must be >= 1")
     threshold = np.uint64(bernoulli_threshold(power.q))
     wins = 0
-    for batch_start in range(0, trials, _BATCH_TRIALS):
-        count = min(_BATCH_TRIALS, trials - batch_start)
-        keys = trial_keys(master_seed, count, start=batch_start)
-        d = np.full(count, deficit, dtype=np.int64)
-        step = 0
-        while keys.size and step < max_blocks:
-            att = mix64_array(keys + np.uint64(step_offset(step))) < threshold
-            step += 1
-            d += np.where(att, -1, 1)
-            caught = d == 0
-            busted = d == deficit + budget
-            wins += int(caught.sum())
-            finished = caught | busted
-            if finished.any():
-                keep = ~finished
-                keys, d = keys[keep], d[keep]
+    for start, count in _batches(trials):
+        keys = trial_keys(master_seed, count, start=start)
+        wins += _chase_phase(keys, threshold, deficit, deficit + budget, max_blocks)[0]
     return wins / trials
 
 
@@ -295,7 +307,8 @@ def empirical_k_distribution(
 
     Wait-phase-only simulation.  Under the per-block coin-flip model the true
     law of k is negative binomial, not Poisson; this instrument is what makes
-    that gap observable.
+    that gap observable.  Capped trials count at the k they reached, so the
+    weights still sum to one.
     """
     if z < 1:
         raise ValueError("z must be >= 1")
@@ -303,26 +316,7 @@ def empirical_k_distribution(
         raise ValueError("trials must be >= 1")
     threshold = np.uint64(bernoulli_threshold(power.q))
     histogram: dict[int, int] = {}
-    for batch_start in range(0, trials, _BATCH_TRIALS):
-        count = min(_BATCH_TRIALS, trials - batch_start)
-        keys = trial_keys(master_seed, count, start=batch_start)
-        h = np.zeros(count, dtype=np.int64)
-        k = np.zeros(count, dtype=np.int64)
-        done_k: list[np.ndarray] = []
-        step = 0
-        while keys.size and step < max_blocks:
-            att = mix64_array(keys + np.uint64(step_offset(step))) < threshold
-            step += 1
-            k += att
-            h += ~att
-            done = h == z
-            if done.any():
-                done_k.append(k[done])
-                keep = ~done
-                keys, h, k = keys[keep], h[keep], k[keep]
-        if keys.size:
-            done_k.append(k)  # capped: record progress so counts still sum to trials
-        for kk, n in enumerate(np.bincount(np.concatenate(done_k))):
-            if n:
-                histogram[int(kk)] = histogram.get(int(kk), 0) + int(n)
+    for start, count in _batches(trials):
+        keys = trial_keys(master_seed, count, start=start)
+        _fold_histogram(histogram, _wait_phase(keys, threshold, z, max_blocks)[0])
     return {kk: n / trials for kk, n in sorted(histogram.items())}

@@ -174,19 +174,6 @@ class AttributionReport:
         ]
 
 
-def _negative_binomial_pmf(k: int, z: int, p: float) -> float:
-    # Exact law of attacker blocks before the z-th honest block.  Test oracle
-    # only: deliberately not offered as a "fixed" public model.
-    q = 1.0 - p
-    return math.exp(
-        math.lgamma(k + z)
-        - math.lgamma(k + 1)
-        - math.lgamma(z)
-        + z * math.log(p)
-        + k * math.log(q)
-    )
-
-
 def _binomial_se(prob: float, trials: int) -> float:
     return math.sqrt(max(prob * (1.0 - prob), 0.0) / trials)
 

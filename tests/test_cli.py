@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from doublespend.cli import main
+from doublespend.cli import MAX_Q_RANGE_VALUES, _parse_q_range, main
 from doublespend import AttackQuery, MiningPowerSplit, Variant, attack_success
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -130,6 +130,31 @@ class TestMinZ:
         assert code == 2
         assert "targets must be in (0, 1)" in err
 
+    @pytest.mark.parametrize(
+        "q_range", ["0.1:inf:0.1", "-inf:0.2:0.1", "0.1:0.2:nan", "nan:0.2:0.1"]
+    )
+    def test_rejects_non_finite_q_range(self, capsys, q_range):
+        code, out, err = run_cli("min-z", f"--q-range={q_range}", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize(
+        "q_range", ["0.1:0.2:1e-300", "0:0.5:1e-12", "0:1e308:1e-300", "0.1:0.2:1e-6"]
+    )
+    def test_rejects_q_range_with_too_many_values(self, capsys, q_range):
+        code, out, err = run_cli(
+            "min-z", "--q-range", q_range, "--target", "0.5", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "over 100000 values" in err
+
+    def test_q_range_at_the_value_limit_is_accepted(self):
+        values = _parse_q_range("0.1:0.199999:1e-6")
+        assert len(values) == MAX_Q_RANGE_VALUES
+        assert values[0] == 0.1 and values[-1] == 0.199999
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
@@ -176,6 +201,36 @@ class TestSimulate:
             "simulate", "--q", "0.2", "--z", "1", "--trials", "0", capsys=capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 7)])
+    def test_rejects_seed_outside_64_bits(self, capsys, command, seed):
+        argv = ["--q", "0.2", "--z", "1"] if command == "simulate" else []
+        code, out, err = run_cli(
+            command, *argv, "--trials", "10", f"--seed={seed}", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seed must be in [0, 2**64)" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_rejects_env_seed_outside_64_bits(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("DOUBLESPEND_SEED", seed)
+        code, out, err = run_cli(
+            "simulate", "--q", "0.2", "--z", "1", "--trials", "10", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "DOUBLESPEND_SEED must be in [0, 2**64)" in err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run_cli(
+            "simulate", "--q", "0.2", "--z", "1", "--trials", "10",
+            f"--seed={2**64 - 1}", capsys=capsys,
+        )
+        assert code == 0
+        (rows,) = parse_csv(out)
+        assert rows[0]["seed"] == str(2**64 - 1)
 
 
 class TestValidate:

@@ -17,6 +17,7 @@ from doublespend import (
     run_trials,
     simulate_trial,
 )
+from doublespend.rng import bernoulli_threshold
 from oracles import budgeted_race_law
 
 
@@ -26,6 +27,39 @@ def budgeted_model(q, z, surplus=35):
 
 def three_sigma(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def replay(config, trials, seed):
+    """simulate_trial over trials 0..trials-1: (wins, k histogram, records)."""
+    records = [simulate_trial(TrialStream(seed, t), config) for t in range(trials)]
+    histogram: dict[int, int] = {}
+    for rec in records:
+        histogram[rec.k_during_wait] = histogram.get(rec.k_during_wait, 0) + 1
+    return sum(rec.attacker_won for rec in records), histogram, records
+
+
+def scalar_catch_up(q, deficit, budget, trials, seed, max_blocks):
+    """Win fraction of chase walks replayed one draw at a time."""
+    threshold = bernoulli_threshold(q)
+    wins = 0
+    for t in range(trials):
+        stream, d = TrialStream(seed, t), deficit
+        while 0 < d < deficit + budget and stream.draws < max_blocks:
+            d += -1 if stream.next_bernoulli(threshold) else 1
+        wins += d == 0
+    return wins / trials
+
+
+def scalar_k_distribution(q, z, trials, seed, max_blocks):
+    """Normalized k histogram of waits replayed one draw at a time."""
+    threshold = bernoulli_threshold(q)
+    histogram: dict[int, int] = {}
+    for t in range(trials):
+        stream, k = TrialStream(seed, t), 0
+        while stream.draws - k < z and stream.draws < max_blocks:
+            k += stream.next_bernoulli(threshold)
+        histogram[k] = histogram.get(k, 0) + 1
+    return {k: n / trials for k, n in sorted(histogram.items())}
 
 
 class TestSingleTrial:
@@ -67,16 +101,65 @@ class TestRunTrials:
 
     def test_matches_scalar_engine_exactly(self):
         config = TrialConfig(MiningPowerSplit(0.3), 2, budget_surplus=5)
-        wins = 0
-        histogram: dict[int, int] = {}
-        for t in range(3_000):
-            rec = simulate_trial(TrialStream(99, t), config)
-            wins += rec.attacker_won
-            histogram[rec.k_during_wait] = histogram.get(rec.k_during_wait, 0) + 1
+        wins, histogram, _ = replay(config, 3_000, 99)
         agg = run_trials(config, 3_000, 99)
         assert agg.wins == wins
         assert agg.k_histogram == histogram
         assert agg.capped_count == 0
+
+    # (q, z, surplus, max_blocks, what the scalar replay must show)
+    @pytest.mark.parametrize(
+        ("q", "z", "surplus", "max_blocks", "kinds"),
+        [
+            (0.5, 50, 5, 10, {"wait"}),
+            (0.8, 3, 2, 4, {"wait", "wait_past_z", "chase"}),
+            (0.6, 5, 5, 7, {"wait", "wait_past_z", "chase"}),
+            (0.45, 2, 35, 6, {"wait", "wait_past_z", "chase", "last"}),
+            (0.4, 3, 5, 4, {"wait", "wait_past_z", "chase"}),
+            (0.5, 2, 1, 5, {"wait", "wait_past_z", "chase", "last"}),
+            (0.5, 0, 5, 3, {"chase", "last"}),
+            (0.3, 0, 1, 1, {"last"}),
+            (0.45, 6, 35, 20, {"wait", "wait_past_z", "chase", "last"}),
+        ],
+    )
+    def test_matches_scalar_engine_at_block_cap(self, q, z, surplus, max_blocks, kinds):
+        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
+        wins, histogram, records = replay(config, 2_000, 41)
+        agg = run_trials(config, 2_000, 41)
+        assert agg.wins == wins
+        assert agg.k_histogram == histogram
+        assert agg.capped_count == sum(rec.capped for rec in records)
+        seen = set()
+        for rec in records:
+            if rec.capped and rec.blocks_elapsed - rec.k_during_wait < z:
+                seen.add("wait")  # fewer than z honest blocks at the cap
+                if rec.k_during_wait > z:
+                    seen.add("wait_past_z")  # capped, not an instant win
+            elif rec.capped:
+                seen.add("chase")
+            elif rec.blocks_elapsed == max_blocks:
+                seen.add("last")  # finished on the last allowed draw
+        assert kinds <= seen
+
+    @pytest.mark.parametrize(
+        ("z", "surplus", "max_blocks", "same_as"),
+        [
+            (4, 35, 2**70, (4, 35, 1_000_000)),
+            (4, 2**70, 1_000, (4, 10**6, 1_000)),
+            (2**64, 35, 12, (10**6, 35, 12)),
+        ],
+    )
+    def test_values_beyond_int64_act_as_unreachable(
+        self, z, surplus, max_blocks, same_as
+    ):
+        power = MiningPowerSplit(0.45)
+        huge = run_trials(TrialConfig(power, z, surplus, max_blocks), 5_000, 8)
+        plain = run_trials(TrialConfig(power, *same_as), 5_000, 8)
+        assert (huge.wins, huge.k_histogram, huge.capped_count) == (
+            plain.wins,
+            plain.k_histogram,
+            plain.capped_count,
+        )
 
     def test_independent_of_batch_width(self, monkeypatch):
         config = TrialConfig(MiningPowerSplit(0.35), 3)
@@ -174,6 +257,21 @@ class TestEmpiricalCatchUp:
         rate = empirical_catch_up(power, deficit, 35, 50_000, 1009)
         assert abs(rate - expected) <= three_sigma(expected, 50_000)
 
+    @pytest.mark.parametrize(
+        ("q", "deficit", "budget", "max_blocks"),
+        [
+            (0.4, 2, 50, 1_000_000),
+            (0.3, 1, 1, 1_000_000),
+            (0.5, 3, 10, 5),
+            (0.45, 5, 35, 12),
+        ],
+    )
+    def test_matches_scalar_walks_exactly(self, q, deficit, budget, max_blocks):
+        observed = empirical_catch_up(
+            MiningPowerSplit(q), deficit, budget, 400, 23, max_blocks
+        )
+        assert observed == scalar_catch_up(q, deficit, budget, 400, 23, max_blocks)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             empirical_catch_up(MiningPowerSplit(0.3), -1, 10, 100, 0)
@@ -211,6 +309,14 @@ class TestEmpiricalKDistribution:
         var = sum(k * k * w for k, w in dist.items()) - mean * mean
         rate = 6 * q / (1 - q)
         assert var > rate
+
+    @pytest.mark.parametrize(
+        ("q", "z", "max_blocks"),
+        [(0.3, 4, 1_000_000), (0.25, 1, 1_000_000), (0.5, 10, 7), (0.4, 24, 30)],
+    )
+    def test_matches_scalar_waits_exactly(self, q, z, max_blocks):
+        observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29, max_blocks)
+        assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import math
 
 import pytest
-from scipy import stats
 
 from doublespend import (
     AttackQuery,
@@ -17,7 +16,6 @@ from doublespend import (
 )
 from doublespend.rng import derive_seed
 from doublespend.simulate import TrialConfig
-from doublespend.validate import _negative_binomial_pmf
 
 
 class TestSweepGrid:
@@ -76,16 +74,6 @@ class TestRunValidation:
         assert by_z[3].rel_error is not None and by_z[3].rel_error > 0.3
         assert by_z[8].sim_prob == 0.0
         assert by_z[8].rel_error is None
-
-
-class TestNegativeBinomialOracle:
-    @pytest.mark.parametrize("z", [1, 3, 10])
-    @pytest.mark.parametrize("p", [0.6, 0.75, 0.9])
-    def test_matches_scipy(self, z, p):
-        for k in range(0, 40, 3):
-            assert _negative_binomial_pmf(k, z, p) == pytest.approx(
-                float(stats.nbinom.pmf(k, z, p)), rel=1e-10, abs=1e-300
-            )
 
 
 @pytest.fixture(scope="module")
