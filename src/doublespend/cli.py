@@ -39,6 +39,9 @@ DEFAULT_GRID_Q = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_GRID_Z = (1, 3, 6, 12, 24)
 DEFAULT_TRIALS = 100_000
 MAX_Q_RANGE_VALUES = 100_000
+# The closed-form model does O(z) work (about a second at this z); simulate's
+# flips are bounded by --max-blocks instead.
+MAX_Z = 100_000
 
 
 class UsageError(Exception):
@@ -93,9 +96,11 @@ def _check_q(q: float) -> MiningPowerSplit:
     return MiningPowerSplit(q)
 
 
-def _check_z(z: int) -> int:
+def _check_z(z: int, limit: int | None = None) -> int:
     if z < 0:
         raise UsageError(f"z must be >= 0, got {z}")
+    if limit is not None and z > limit:
+        raise UsageError(f"z must be <= {limit}, got {z}")
     return z
 
 
@@ -119,7 +124,7 @@ def _seed_from(args) -> int:
 
 def _cmd_prob(args) -> str:
     power = _check_q(args.q)
-    z = _check_z(args.z)
+    z = _check_z(args.z, MAX_Z)
     variant = Variant(args.variant)
     if variant is Variant.BUDGETED:
         _check_positive(args.surplus, "--surplus")
@@ -280,6 +285,7 @@ def _cmd_validate(args) -> str:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
+    _check_z(grid.z_values[-1], MAX_Z)
     rows = run_validation(grid)
 
     reports = []

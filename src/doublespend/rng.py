@@ -65,9 +65,12 @@ def step_offset(draw_index: int) -> int:
     return ((draw_index + 1) * _GOLDEN) & _MASK64
 
 
-def advance_keys(keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Keys whose draw j is draw j + draws[i] of stream keys[i] (wrapping)."""
-    return keys + draws.astype(np.uint64) * np.uint64(_GOLDEN)
+def advance_keys(keys: np.ndarray, draws) -> np.ndarray:
+    """Keys whose draw j is draw j + draws[i] of stream keys[i] (wrapping).
+
+    draws is an array with one count per key or one count for all keys.
+    """
+    return keys + np.asarray(draws, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
 def bernoulli_threshold(q: float) -> int:

@@ -11,16 +11,19 @@ z + budget_surplus - k.  No formula from the closed-form model decides any
 trial; everything is coin flips.
 
 Each phase is one vectorized kernel.  _wait_phase returns every trial's k;
-_chase_phase walks deficits to absorption.  run_trials runs the wait, then
-chases the trials that need it, continuing trial t's stream at draw z + k.
-empirical_k_distribution is the wait alone and empirical_catch_up the chase
-alone.  Trial t draws its coins from a counter-based substream keyed by
-(master_seed, t), so results are bit-identical for a given
+_chase_phase walks deficits to absorption and counts wins per cell label.
+run_trials runs the wait, then chases the trials that need it, continuing
+trial t's stream at draw z + k.  empirical_k_distribution is the wait alone;
+empirical_catch_up is the chase alone, for many (deficit, budget, seed) cells
+in one pass.  The kernels take walks in tiles of at most _BATCH_WALKS, so
+their per-walk arrays stay cache-resident and the working set does not grow
+with the trial count.  Trial t draws its coins from a counter-based substream
+keyed by (master_seed, t), so results are bit-identical for a given
 
     (config, trials, master_seed)
 
-regardless of batch size, execution order, or parallelism.  Aggregation is
-counts only, hence order-insensitive.
+at any tile size, execution order, or parallelism.  Aggregation is counts
+only, hence order-insensitive.
 """
 
 from __future__ import annotations
@@ -52,8 +55,11 @@ __all__ = [
 
 DEFAULT_MAX_BLOCKS = 1_000_000
 
-# Vector width per batch; outcomes are independent of this value.
-_BATCH_TRIALS = 1 << 20
+# Walks per tile; outcomes are independent of this value.  At about 100 B
+# per walk (key, deficit, barrier, cap, label, their compacted copies and the
+# mix64 temporaries) a tile, plus the eighth of one the chase carries over,
+# stays inside a 2 MiB L2.
+_BATCH_WALKS = 1 << 14
 _FLIP_LIMIT = 2**60  # more coin flips than any run makes
 
 
@@ -160,9 +166,16 @@ def simulate_trial(rng_stream: TrialStream, config: TrialConfig) -> TrialRecord:
         draws += 1
 
 
-def _batches(trials: int):
-    for start in range(0, trials, _BATCH_TRIALS):
-        yield start, min(_BATCH_TRIALS, trials - start)
+def _batches(trials: int, streams_per_trial: int = 1):
+    """(start, count) trial ranges of near-equal size, each at most _BATCH_WALKS walks.
+
+    A range holds at least one trial whatever streams_per_trial is.  Sizes
+    differ by at most one, so no small leftover tile pays a full tile's steps.
+    """
+    tiles = -(-trials // max(1, _BATCH_WALKS // streams_per_trial))
+    for i in range(tiles):
+        start = i * trials // tiles
+        yield start, (i + 1) * trials // tiles - start
 
 
 def _fold_histogram(histogram: dict[int, int], k: np.ndarray) -> None:
@@ -202,23 +215,56 @@ def _wait_phase(
     return k_out, k_out > max_blocks - z
 
 
-def _chase_phase(keys, threshold: np.uint64, d, loss_at, cap) -> tuple[int, int]:
-    """Walk each deficit d until it wins at 0, loses at loss_at or makes cap flips.
+def _join(rest, fresh):
+    """Carried walks followed by a fresh tile's; equal shared scalars stay scalars."""
+    if not rest[0].size:
+        return fresh
+    n = rest[0].size, fresh[0].size
+    return tuple(
+        a
+        if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b
+        else np.concatenate([np.broadcast_to(a, n[:1]), np.broadcast_to(b, n[1:])])
+        for a, b in zip(rest, fresh)
+    )
 
-    An attacker block lowers the deficit by one and an honest block raises
-    it.  d, loss_at and cap are each a scalar shared by every walk or an
-    array with one entry per walk; shared barriers stay scalars, and cap is
-    compared only once the step count reaches the smallest one.  Returns
-    (wins, capped).
+
+def _chase_phase(
+    threshold: np.uint64, tiles, cells: int = 1
+) -> tuple[np.ndarray, int]:
+    """Walk each deficit until it wins at 0, loses at its barrier or makes cap flips.
+
+    tiles yields walks tuples (keys, d, loss_at, cap, cell): stream keys,
+    deficits (int64 arrays, updated in place), loss barriers, flip caps and
+    labels in range(cells).  loss_at, cap and cell are each a scalar shared
+    by every walk or an array with one entry per walk; shared values stay
+    scalars, and cap is compared only once the step count reaches the
+    smallest one.  An attacker block lowers a deficit by one and an honest
+    block raises it.  The next tile joins once _BATCH_WALKS // 8 or fewer
+    walks are left, so the few long walks of a near-fair race share a loop of
+    numpy calls with the next tile instead of holding one to themselves.
+    Returns (wins per cell, capped walks).
     """
-    d = np.broadcast_to(d, keys.shape).astype(np.int64)
-    wins = capped = step = 0
-    cap_floor = np.min(cap, initial=_FLIP_LIMIT)
-    while keys.size:
+    tiles = iter(tiles)
+    keys, d, loss_at, cap, cell = np.empty(0, dtype=np.uint64), 0, 0, 0, 0
+    wins = np.zeros(cells, dtype=np.int64)
+    capped = step = 0
+    cap_floor = _FLIP_LIMIT
+    more = True
+    while keys.size or more:
+        if more and keys.size <= _BATCH_WALKS // 8:
+            fresh = next(tiles, None)
+            more = fresh is not None
+            if more:
+                rest = (advance_keys(keys, step), d, loss_at, cap - step, cell)
+                keys, d, loss_at, cap, cell = _join(rest, fresh)
+                rest = fresh = None  # the joined arrays replace them
+                step = 0
+                cap_floor = np.min(cap, initial=_FLIP_LIMIT)
+            continue
         if step >= cap_floor:
             spent = np.broadcast_to(cap <= step, keys.shape)
             capped += int(np.count_nonzero(spent))
-            keys, d, loss_at, cap = _keep(~spent, keys, d, loss_at, cap)
+            keys, d, loss_at, cap, cell = _keep(~spent, keys, d, loss_at, cap, cell)
             cap_floor = np.min(cap, initial=_FLIP_LIMIT)
             continue
         attacker = mix64_array(keys + np.uint64(step_offset(step))) < threshold
@@ -229,8 +275,11 @@ def _chase_phase(keys, threshold: np.uint64, d, loss_at, cap) -> tuple[int, int]
         caught = d == 0
         finished = caught | (d == loss_at)
         if np.count_nonzero(finished):
-            wins += int(np.count_nonzero(caught))
-            keys, d, loss_at, cap = _keep(~finished, keys, d, loss_at, cap)
+            if isinstance(cell, np.ndarray):
+                wins += np.bincount(cell[caught], minlength=cells)
+            else:
+                wins[cell] += np.count_nonzero(caught)
+            keys, d, loss_at, cap, cell = _keep(~finished, keys, d, loss_at, cap, cell)
     return wins, capped
 
 
@@ -245,55 +294,75 @@ def run_trials(config: TrialConfig, trials: int, master_seed: int) -> Simulation
     threshold = np.uint64(bernoulli_threshold(config.power.q))
     wins = capped = 0
     histogram: dict[int, int] = {}
-    for start, count in _batches(trials):
-        keys = trial_keys(master_seed, count, start=start)
-        k, wait_capped = _wait_phase(keys, threshold, z, max_blocks)
-        # A trial capped in the wait may already have k > z; it is capped, not won.
-        chase = ~wait_capped & (k <= z)
-        kc = k[chase]
-        chase_wins, chase_capped = _chase_phase(
-            advance_keys(keys[chase], z + kc),
-            threshold,
-            z + 1 - kc,
-            2 * (z - kc) + 1 + surplus,
-            max_blocks - z - kc,
-        )
-        n_wait_capped = int(np.count_nonzero(wait_capped))
-        wins += chase_wins + count - kc.size - n_wait_capped
-        capped += chase_capped + n_wait_capped
-        _fold_histogram(histogram, k)
+
+    def chase_tiles():
+        nonlocal wins, capped
+        for start, count in _batches(trials):
+            keys = trial_keys(master_seed, count, start=start)
+            k, wait_capped = _wait_phase(keys, threshold, z, max_blocks)
+            _fold_histogram(histogram, k)
+            # A trial capped in the wait may already have k > z; it is capped, not won.
+            chase = ~wait_capped & (k <= z)
+            kc = k[chase]
+            n_wait_capped = int(np.count_nonzero(wait_capped))
+            wins += count - kc.size - n_wait_capped
+            capped += n_wait_capped
+            yield (
+                advance_keys(keys[chase], z + kc),
+                z + 1 - kc,
+                2 * (z - kc) + 1 + surplus,
+                max_blocks - z - kc,
+                0,
+            )
+
+    chase_wins, chase_capped = _chase_phase(threshold, chase_tiles())
+    wins += int(chase_wins[0])
+    capped += chase_capped
     return SimulationResult(config, trials, wins, histogram, master_seed, capped)
 
 
 def empirical_catch_up(
     power: MiningPowerSplit,
-    deficit: int,
-    budget: int,
+    cells,
     trials: int,
-    master_seed: int,
     max_blocks: int = DEFAULT_MAX_BLOCKS,
-) -> float:
-    """Win fraction of pure chase-phase walks: win at 0, lose at deficit + budget.
+) -> list[float]:
+    """Win fraction of chase-phase walks per (deficit, budget, master_seed) cell.
 
-    Validates the catch-up component of the model independently of the
-    Poisson component.  A deficit of 0 is an immediate win.  Trials that hit
-    the block cap (essentially impossible with a finite budget) count as
-    losses.
+    A cell's walks win at 0 and lose at deficit + budget; walk t draws from
+    substream (master_seed, t), so a cell's fraction is the same alone or
+    among others.  All cells' walks share one chase pass.  Validates the
+    catch-up component of the model independently of the Poisson component.
+    A deficit of 0 is an immediate win.  Walks that hit the block cap
+    (essentially impossible with a finite budget) count as losses.
     """
-    if deficit < 0:
-        raise ValueError("deficit must be >= 0")
-    if deficit == 0:
-        return 1.0
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    cells = list(cells)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for deficit, budget, _ in cells:
+        if deficit < 0:
+            raise ValueError("deficit must be >= 0")
+        if deficit and budget < 1:
+            raise ValueError("budget must be >= 1")
+    live = [cell for cell in cells if cell[0]]
+    # Clamped as in run_trials: past _FLIP_LIMIT no barrier is reachable.
+    start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in live], dtype=np.int64)
+    loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in live]
+    labels = np.arange(len(live))
+    tiles = (
+        (
+            np.concatenate([trial_keys(s, count, start=start) for _, _, s in live]),
+            np.repeat(start_d, count),
+            np.repeat(loss_at, count),
+            min(max_blocks, _FLIP_LIMIT),
+            np.repeat(labels, count),
+        )
+        for start, count in (_batches(trials, len(live)) if live else ())
+    )
     threshold = np.uint64(bernoulli_threshold(power.q))
-    wins = 0
-    for start, count in _batches(trials):
-        keys = trial_keys(master_seed, count, start=start)
-        wins += _chase_phase(keys, threshold, deficit, deficit + budget, max_blocks)[0]
-    return wins / trials
+    wins, _ = _chase_phase(threshold, tiles, len(live))
+    live_rates = iter(int(w) / trials for w in wins)
+    return [next(live_rates) if deficit else 1.0 for deficit, _, _ in cells]
 
 
 def empirical_k_distribution(

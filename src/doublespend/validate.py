@@ -196,13 +196,14 @@ def component_attribution(
     rate = poisson_rate(z, power)
 
     # (a) catch-up at the deficit/budget pairs the budgeted sum uses
+    cells = [
+        (z + 1 - k, z + budget_surplus - k, derive_seed(master_seed, 1, k))
+        for k in range(z + 1)
+    ]
     catch_rows = []
-    for k in range(z + 1):
-        deficit = z + 1 - k
-        budget = z + budget_surplus - k
-        observed = empirical_catch_up(
-            power, deficit, budget, trials, derive_seed(master_seed, 1, k)
-        )
+    for (deficit, budget, _), observed in zip(
+        cells, empirical_catch_up(power, cells, trials)
+    ):
         expected = catch_up_limited(deficit, budget, power)
         catch_rows.append(
             ComparisonRow(

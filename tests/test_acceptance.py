@@ -227,7 +227,7 @@ def test_criterion_09_determinism(tmp_path, monkeypatch):
         outputs.append(paths[0].read_bytes() == paths[1].read_bytes())
     config = TrialConfig(MiningPowerSplit(0.3), 4)
     whole = run_trials(config, 10_000, 13)
-    monkeypatch.setattr(simulate_module, "_BATCH_TRIALS", 997)
+    monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 997)
     chunked = run_trials(config, 10_000, 13)
     schedule_ok = whole == chunked
     report(

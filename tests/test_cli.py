@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from doublespend.cli import MAX_Q_RANGE_VALUES, _parse_q_range, main
+from doublespend.cli import MAX_Q_RANGE_VALUES, MAX_Z, _parse_q_range, main
 from doublespend import AttackQuery, MiningPowerSplit, Variant, attack_success
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -77,6 +77,12 @@ class TestProb:
         with pytest.raises(SystemExit) as excinfo:
             main(["prob", "--q", "0.3", "--z", "1", "--variant", "bogus"])
         assert excinfo.value.code == 2
+
+    def test_depth_at_the_limit_is_accepted(self, capsys):
+        code, out, _ = run_cli("prob", "--q", "0.3", "--z", str(MAX_Z), capsys=capsys)
+        assert code == 0
+        (rows,) = parse_csv(out)
+        assert float(rows[0]["probability"]) == 0.0
 
 
 class TestMinZ:
@@ -330,6 +336,26 @@ class TestGoldenOutputs:
         out = tmp_path / name
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--q", "0.3", "--z", str(10**20)],
+        ["prob", "--q", "0.3", "--z", str(MAX_Z + 1)],
+        ["validate", "--q-values", "0.3", "--z-values", f"1,{10**6}", "--trials", "10"],
+    ],
+)
+def test_depth_past_the_model_limit_exits_2_quickly(argv):
+    # The model's cost is O(z), so without the limit these never return.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "doublespend", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"z must be <= {MAX_Z}" in proc.stderr
 
 
 def test_module_entry_point_runs():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,30 @@ class TestRunTrials:
         assert kinds <= seen
 
     @pytest.mark.parametrize(
+        ("q", "z", "surplus", "max_blocks"),
+        [(0.5, 2, 40, 400), (0.45, 0, 20, 60), (0.5, 3, 5, 1_000_000)],
+    )
+    def test_matches_scalar_engine_with_walks_carried_across_tiles(
+        self, monkeypatch, q, z, surplus, max_blocks
+    ):
+        carried = []
+        join = simulate_module._join
+
+        def counting_join(rest, fresh):
+            carried.append(rest[0].size)
+            return join(rest, fresh)
+
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        monkeypatch.setattr(simulate_module, "_join", counting_join)
+        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
+        wins, histogram, records = replay(config, 2_000, 43)
+        agg = run_trials(config, 2_000, 43)
+        assert agg.wins == wins
+        assert agg.k_histogram == histogram
+        assert agg.capped_count == sum(rec.capped for rec in records)
+        assert max(carried) > 0  # some walks rode on into a later tile
+
+    @pytest.mark.parametrize(
         ("z", "surplus", "max_blocks", "same_as"),
         [
             (4, 35, 2**70, (4, 35, 1_000_000)),
@@ -164,7 +189,7 @@ class TestRunTrials:
     def test_independent_of_batch_width(self, monkeypatch):
         config = TrialConfig(MiningPowerSplit(0.35), 3)
         whole = run_trials(config, 10_000, 7)
-        monkeypatch.setattr(simulate_module, "_BATCH_TRIALS", 613)
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 613)
         chunked = run_trials(config, 10_000, 7)
         assert whole == chunked
 
@@ -237,16 +262,16 @@ class TestRunTrials:
 
 class TestEmpiricalCatchUp:
     def test_single_block_deficit_matches_one_third(self):
-        rate = empirical_catch_up(MiningPowerSplit(0.25), 1, 200, 100_000, 21)
+        rate = empirical_catch_up(MiningPowerSplit(0.25), [(1, 200, 21)], 100_000)[0]
         assert abs(rate - 1.0 / 3.0) <= three_sigma(1.0 / 3.0, 100_000)
 
     def test_zero_deficit_is_immediate_win(self):
-        assert empirical_catch_up(MiningPowerSplit(0.25), 0, 50, 10, 0) == 1.0
+        assert empirical_catch_up(MiningPowerSplit(0.25), [(0, 50, 0)], 10) == [1.0]
 
     def test_matches_limited_catch_up_formula(self):
         power = MiningPowerSplit(0.4)
         expected = catch_up_limited(2, 50, power)
-        rate = empirical_catch_up(power, 2, 50, 100_000, 33)
+        rate = empirical_catch_up(power, [(2, 50, 33)], 100_000)[0]
         assert abs(rate - expected) <= three_sigma(expected, 100_000)
 
     @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 0.4])
@@ -254,7 +279,7 @@ class TestEmpiricalCatchUp:
     def test_twelve_point_grid_within_three_sigma(self, q, deficit):
         power = MiningPowerSplit(q)
         expected = catch_up_limited(deficit, 35, power)
-        rate = empirical_catch_up(power, deficit, 35, 50_000, 1009)
+        rate = empirical_catch_up(power, [(deficit, 35, 1009)], 50_000)[0]
         assert abs(rate - expected) <= three_sigma(expected, 50_000)
 
     @pytest.mark.parametrize(
@@ -267,16 +292,41 @@ class TestEmpiricalCatchUp:
         ],
     )
     def test_matches_scalar_walks_exactly(self, q, deficit, budget, max_blocks):
-        observed = empirical_catch_up(
-            MiningPowerSplit(q), deficit, budget, 400, 23, max_blocks
+        [observed] = empirical_catch_up(
+            MiningPowerSplit(q), [(deficit, budget, 23)], 400, max_blocks
         )
         assert observed == scalar_catch_up(q, deficit, budget, 400, 23, max_blocks)
 
+    @pytest.mark.parametrize("width", [1 << 14, 64])
+    @pytest.mark.parametrize("max_blocks", [5, 12, 1_000_000])
+    def test_many_cells_match_scalar_walks_exactly(
+        self, monkeypatch, max_blocks, width
+    ):
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
+        cells = [
+            (2, 50, 23), (0, 4, 24), (1, 1, 25), (3, 10, 26), (5, 35, 27), (4, 2, 28)
+        ]
+        observed = empirical_catch_up(MiningPowerSplit(0.45), cells, 400, max_blocks)
+        assert observed == [
+            scalar_catch_up(0.45, d, b, 400, seed, max_blocks) for d, b, seed in cells
+        ]
+
+    @pytest.mark.parametrize("width", [7, 613])
+    def test_independent_of_tile_width(self, monkeypatch, width):
+        cells = [(k + 1, 12 - k, 40 + k) for k in range(7)] + [(0, 3, 9)]
+        whole = empirical_catch_up(MiningPowerSplit(0.4), cells, 300)
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
+        assert empirical_catch_up(MiningPowerSplit(0.4), cells, 300) == whole
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            empirical_catch_up(MiningPowerSplit(0.3), -1, 10, 100, 0)
+            empirical_catch_up(MiningPowerSplit(0.3), [(-1, 10, 0)], 100)
         with pytest.raises(ValueError):
-            empirical_catch_up(MiningPowerSplit(0.3), 1, 0, 100, 0)
+            empirical_catch_up(MiningPowerSplit(0.3), [(1, 0, 0)], 100)
+        with pytest.raises(ValueError):
+            empirical_catch_up(MiningPowerSplit(0.3), [(1, 5, 0), (2, 0, 1)], 100)
+        with pytest.raises(ValueError):
+            empirical_catch_up(MiningPowerSplit(0.3), [(1, 5, 0)], 0)
 
 
 class TestEmpiricalKDistribution:
@@ -318,6 +368,34 @@ class TestEmpiricalKDistribution:
         observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29, max_blocks)
         assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
 
+    @pytest.mark.parametrize("width", [7, 613])
+    def test_independent_of_tile_width(self, monkeypatch, width):
+        whole = empirical_k_distribution(MiningPowerSplit(0.35), 6, 3_000, 31)
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
+        assert empirical_k_distribution(MiningPowerSplit(0.35), 6, 3_000, 31) == whole
+
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             empirical_k_distribution(MiningPowerSplit(0.3), 0, 100, 0)
+
+
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The tile of walks, not the trial count, sets the kernels' working set."""
+
+    def test_race_peak_stays_small(self):
+        config = TrialConfig(MiningPowerSplit(0.4), 24)
+        assert traced_peak_mib(lambda: run_trials(config, 200_000, 3)) < 4.0
+
+    def test_catch_up_peak_stays_small(self):
+        cells = [(25 - k, 59 - k, 100 + k) for k in range(25)]
+        power = MiningPowerSplit(0.2)
+        assert traced_peak_mib(lambda: empirical_catch_up(power, cells, 20_000)) < 4.0

@@ -10,6 +10,7 @@ from doublespend import (
     attack_success,
     catch_up_limited,
     component_attribution,
+    empirical_catch_up,
     empirical_k_distribution,
     run_trials,
     run_validation,
@@ -99,6 +100,16 @@ class TestComponentAttribution:
     def test_report_rows_cover_all_components(self, report):
         components = {row.component for row in report.rows()}
         assert components == {"catch_up", "mean_k", "k_pmf", "hybrid"}
+
+    def test_catch_up_cells_equal_single_cell_runs(self):
+        power, z, surplus, trials, seed = MiningPowerSplit(0.35), 6, 20, 500, 81
+        report = component_attribution(power, z, surplus, trials, seed)
+        assert [row.observed for row in report.catch_up] == [
+            empirical_catch_up(
+                power, [(z + 1 - k, z + surplus - k, derive_seed(seed, 1, k))], trials
+            )[0]
+            for k in range(z + 1)
+        ]
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
