@@ -330,6 +330,33 @@ class TestGoldenOutputs:
                 ["validate", "--q-values", "0.2,0.3", "--z-values", "1,3",
                  "--trials", "5000", "--seed", "3"],
             ),
+            (
+                "prob_summands.json",
+                ["prob", "--q", "0.25", "--z", "3", "--variant", "original",
+                 "--summands", "--format", "json"],
+            ),
+            (
+                "min_z.json",
+                ["min-z", "--q", "0.1,0.3,0.6", "--target", "0.01,0.1",
+                 "--format", "json"],
+            ),
+            (
+                "simulate.json",
+                ["simulate", "--q", "0.3", "--z", "2", "--trials", "5000",
+                 "--seed", "11", "--histogram", "--format", "json"],
+            ),
+            # z=0 cells get no attribution; q=0.01 z=2 has an empty rel_error.
+            (
+                "validate_attribution.csv",
+                ["validate", "--q-values", "0.01,0.3", "--z-values", "0,2",
+                 "--trials", "300", "--seed", "8", "--attribution"],
+            ),
+            (
+                "validate_attribution.json",
+                ["validate", "--q-values", "0.01,0.3", "--z-values", "0,2",
+                 "--trials", "300", "--seed", "8", "--attribution",
+                 "--format", "json"],
+            ),
         ],
     )
     def test_golden(self, name, argv, tmp_path):
