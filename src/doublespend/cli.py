@@ -3,7 +3,8 @@
 Subcommands: prob, min-z, simulate, validate.  Output goes to stdout or
 --out PATH as CSV (default) or JSON; CSV uses a header row, '.' decimals and
 LF line endings.  All probability arithmetic lives in the library modules;
-this module only parses flags, dispatches, and formats.
+this module only parses flags, dispatches, and formats.  Each handler
+returns a head dict and a list of Blocks, which _render writes as CSV or JSON.
 
 The default seed for simulate/validate is 20090103, overridable with the
 DOUBLESPEND_SEED environment variable (read once at startup).  Seeds lie in
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from .model import (
     AttackQuery,
@@ -42,28 +44,73 @@ MAX_Q_RANGE_VALUES = 100_000
 # The closed-form model does O(z) work (about a second at this z); simulate's
 # flips are bounded by --max-blocks instead.
 MAX_Z = 100_000
+# A chase walk that drifts away from the attacker runs until it falls this
+# far behind (or hits --max-blocks), so validate bounds it; prob and min-z
+# cost the same at any surplus.
+MAX_SURPLUS = 100_000
 
 
 class UsageError(Exception):
     """Invalid arguments; reported on stderr with exit code 2."""
 
 
-def _fmt(value) -> str:
+class Block(NamedTuple):
+    """One output table: a JSON key (None: CSV only), its CSV and JSON
+    columns (empty: JSON or CSV only), its rows, and the CSV text for None."""
+
+    key: str | None
+    csv: tuple[str, ...]
+    json: tuple[str, ...]
+    rows: list
+    none: str = ""
+
+
+_MISSING = object()
+
+
+def _value(row, name: str, head: dict):
+    """Field `name` of a row (an object, a dict, or a tuple of them, searched
+    in order), else of the head."""
+    for source in (*row, head) if isinstance(row, tuple) else (row, head):
+        if isinstance(source, dict):
+            value = source.get(name, _MISSING)
+        else:
+            value = getattr(source, name, _MISSING)
+        if value is not _MISSING:
+            return value
+    raise KeyError(name)
+
+
+def _record(row, columns: tuple[str, ...], head: dict) -> dict:
+    return {name: _value(row, name, head) for name in columns}
+
+
+def _fmt(value, none: str) -> str:
     if value is None:
-        return ""
+        return none
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _render(fmt: str, head: dict, blocks: list[Block]) -> str:
+    """JSON: the head, then each keyed block as a list of row objects.
+    CSV: each block with CSV columns under its header, blank-line separated."""
+    if fmt == "json":
+        payload = dict(head)
+        for block in blocks:
+            if block.key is not None:
+                payload[block.key] = [_record(r, block.json, head) for r in block.rows]
+        return json.dumps(payload, indent=2) + "\n"
+    texts = []
+    for block in blocks:
+        if block.csv:
+            lines = [",".join(block.csv)]
+            for row in block.rows:
+                values = (_value(row, name, head) for name in block.csv)
+                lines.append(",".join(_fmt(v, block.none) for v in values))
+            texts.append("\n".join(lines) + "\n")
+    return "\n".join(texts)
 
 
 def _parse_list(text: str, flag: str, kind: type = float) -> list:
@@ -96,17 +143,11 @@ def _check_q(q: float) -> MiningPowerSplit:
     return MiningPowerSplit(q)
 
 
-def _check_z(z: int, limit: int | None = None) -> int:
-    if z < 0:
-        raise UsageError(f"z must be >= 0, got {z}")
-    if limit is not None and z > limit:
-        raise UsageError(f"z must be <= {limit}, got {z}")
-    return z
-
-
-def _check_positive(value: int, flag: str) -> int:
-    if value < 1:
-        raise UsageError(f"{flag} must be >= 1, got {value}")
+def _check_range(value: int, name: str, low: int, high: int | None = None) -> int:
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise UsageError(f"{name} must be <= {high}, got {value}")
     return value
 
 
@@ -122,44 +163,28 @@ def _seed_from(args) -> int:
     return args.default_seed
 
 
-def _cmd_prob(args) -> str:
+def _cmd_prob(args) -> tuple[dict, list[Block]]:
     power = _check_q(args.q)
-    z = _check_z(args.z, MAX_Z)
+    z = _check_range(args.z, "z", 0, MAX_Z)
     variant = Variant(args.variant)
     if variant is Variant.BUDGETED:
-        _check_positive(args.surplus, "--surplus")
+        _check_range(args.surplus, "--surplus", 1)
     query = AttackQuery(power, z, variant, args.surplus)
-    probability = attack_success(query)
-    summands = attack_summands(query) if args.summands else None
-
-    if args.format == "json":
-        payload = {
-            "q": args.q,
-            "z": z,
-            "variant": variant.value,
-            "budget_surplus": args.surplus,
-            "probability": probability,
-        }
-        if summands is not None:
-            payload["summands"] = [
-                {"k": s.k, "pmf": s.pmf, "catch_up": s.catch_up, "product": s.product}
-                for s in summands
-            ]
-        return _json(payload)
-
-    text = _csv(
-        ["q", "z", "variant", "budget_surplus", "probability"],
-        [[args.q, z, variant.value, args.surplus, probability]],
-    )
-    if summands is not None:
-        text += "\n" + _csv(
-            ["k", "pmf", "catch_up", "product"],
-            [[s.k, s.pmf, s.catch_up, s.product] for s in summands],
-        )
-    return text
+    head = {
+        "q": args.q,
+        "z": z,
+        "variant": variant.value,
+        "budget_surplus": args.surplus,
+        "probability": attack_success(query),
+    }
+    blocks = [Block(None, tuple(head), (), [head])]
+    if args.summands:
+        columns = ("k", "pmf", "catch_up", "product")
+        blocks.append(Block("summands", columns, columns, attack_summands(query)))
+    return head, blocks
 
 
-def _cmd_min_z(args) -> str:
+def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     if (args.q is None) == (args.q_range is None):
         raise UsageError("min-z needs exactly one of --q or --q-range")
     q_values = (
@@ -171,107 +196,64 @@ def _cmd_min_z(args) -> str:
     for t in targets:
         if not 0.0 < t < 1.0:
             raise UsageError(f"targets must be in (0, 1), got {t!r}")
+    powers = [_check_q(q) for q in q_values]
     variant = Variant(args.variant)
-    rows = []
-    for q in q_values:
-        power = _check_q(q)
-        for target in targets:
-            rows.append(
-                (
-                    q,
-                    target,
-                    min_confirmations(power, target, variant, args.surplus),
-                )
-            )
-
-    if args.format == "json":
-        payload = {
-            "variant": variant.value,
-            "budget_surplus": args.surplus,
-            "rows": [
-                {"q": q, "target": target, "min_z": min_z}
-                for q, target, min_z in rows
-            ],
+    head = {"variant": variant.value, "budget_surplus": args.surplus}
+    rows = [
+        {
+            "q": power.q,
+            "target": target,
+            "min_z": min_confirmations(power, target, variant, args.surplus),
         }
-        return _json(payload)
-
-    return _csv(
-        ["q", "target", "variant", "budget_surplus", "min_z"],
-        [
-            [q, target, variant.value, args.surplus, "inf" if min_z is None else min_z]
-            for q, target, min_z in rows
-        ],
-    )
+        for power in powers
+        for target in targets
+    ]
+    csv = ("q", "target", "variant", "budget_surplus", "min_z")
+    return head, [Block("rows", csv, ("q", "target", "min_z"), rows, "inf")]
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> tuple[dict, list[Block]]:
     power = _check_q(args.q)
-    z = _check_z(args.z)
-    _check_positive(args.surplus, "--surplus")
-    _check_positive(args.trials, "--trials")
-    _check_positive(args.max_blocks, "--max-blocks")
+    z = _check_range(args.z, "z", 0)
+    _check_range(args.surplus, "--surplus", 1)
+    _check_range(args.trials, "--trials", 1)
+    _check_range(args.max_blocks, "--max-blocks", 1)
     seed = _seed_from(args)
     config = TrialConfig(power, z, args.surplus, args.max_blocks)
     result = run_trials(config, args.trials, seed)
-
-    if args.format == "json":
-        payload = {
-            "q": args.q,
-            "z": z,
-            "budget_surplus": args.surplus,
-            "trials": args.trials,
-            "wins": result.wins,
-            "success_rate": result.success_rate,
-            "std_err": result.std_err,
-            "mean_k": result.mean_k,
-            "capped": result.capped_count,
-            "seed": seed,
-        }
-        if args.histogram:
-            payload["k_histogram"] = {
-                str(k): n for k, n in sorted(result.k_histogram.items())
-            }
-        return _json(payload)
-
-    text = _csv(
-        [
-            "q",
-            "z",
-            "budget_surplus",
-            "trials",
-            "wins",
-            "success_rate",
-            "std_err",
-            "mean_k",
-            "capped",
-            "seed",
-        ],
-        [
-            [
-                args.q,
-                z,
-                args.surplus,
-                args.trials,
-                result.wins,
-                result.success_rate,
-                result.std_err,
-                result.mean_k,
-                result.capped_count,
-                seed,
-            ]
-        ],
-    )
+    head = {
+        "q": args.q,
+        "z": z,
+        "budget_surplus": args.surplus,
+        "trials": args.trials,
+        "wins": result.wins,
+        "success_rate": result.success_rate,
+        "std_err": result.std_err,
+        "mean_k": result.mean_k,
+        "capped": result.capped_count,
+        "seed": seed,
+    }
+    blocks = [Block(None, tuple(head), (), [head])]
     if args.histogram:
-        text += "\n" + _csv(
-            ["k", "count"], [[k, n] for k, n in sorted(result.k_histogram.items())]
-        )
-    return text
+        histogram = sorted(result.k_histogram.items())
+        head["k_histogram"] = {str(k): n for k, n in histogram}
+        rows = [{"k": k, "count": n} for k, n in histogram]
+        blocks.append(Block(None, ("k", "count"), (), rows))
+    return head, blocks
 
 
-def _cmd_validate(args) -> str:
+# Columns shared by validate's rows and its attribution reports.
+_CELL = ("q", "z")
+_ESTIMATES = ("model_prob", "sim_prob", "sim_std_err")
+_ERRORS = _ESTIMATES + ("abs_error", "rel_error")
+_COMPARISON = ("component", "label", "observed", "expected", "std_err", "z_score")
+
+
+def _cmd_validate(args) -> tuple[dict, list[Block]]:
     q_values = _parse_list(args.q_values, "--q-values")
     z_values = _parse_list(args.z_values, "--z-values", int)
-    _check_positive(args.trials, "--trials")
+    _check_range(args.trials, "--trials", 1)
+    _check_range(args.surplus, "--surplus", 1, MAX_SURPLUS)
     seed = _seed_from(args)
     variant = Variant(args.variant)
     try:
@@ -285,119 +267,39 @@ def _cmd_validate(args) -> str:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    _check_z(grid.z_values[-1], MAX_Z)
-    rows = run_validation(grid)
-
-    reports = []
+    _check_range(grid.z_values[-1], "z", 0, MAX_Z)
+    head = {
+        "variant": variant.value,
+        "budget_surplus": grid.budget_surplus,
+        "trials": grid.trials,
+        "seed": seed,
+    }
+    csv = _CELL + ("variant", "budget_surplus", "trials", "seed") + _ERRORS
+    json_columns = _CELL + _ERRORS + ("trials",)
+    blocks = [Block("rows", csv, json_columns, run_validation(grid))]
     if args.attribution:
-        for qi, q in enumerate(grid.q_values):
-            for zi, z in enumerate(grid.z_values):
-                if z < 1:
-                    continue  # attribution needs a non-empty waiting phase
-                reports.append(
-                    component_attribution(
-                        MiningPowerSplit(q),
-                        z,
-                        grid.budget_surplus,
-                        grid.trials,
-                        derive_seed(seed, qi, zi, 1),
-                    )
-                )
-
-    if args.format == "json":
-        payload = {
-            "variant": variant.value,
-            "budget_surplus": grid.budget_surplus,
-            "trials": grid.trials,
-            "seed": seed,
-            "rows": [
-                {
-                    "q": row.q,
-                    "z": row.z,
-                    "model_prob": row.model_prob,
-                    "sim_prob": row.sim_prob,
-                    "sim_std_err": row.sim_std_err,
-                    "abs_error": row.abs_error,
-                    "rel_error": row.rel_error,
-                    "trials": row.trials,
-                }
-                for row in rows
-            ],
-        }
-        if args.attribution:
-            payload["attribution"] = [
-                {
-                    "q": report.q,
-                    "z": report.z,
-                    "model_prob": report.model_prob,
-                    "sim_prob": report.sim_prob,
-                    "sim_std_err": report.sim_std_err,
-                    "comparisons": [
-                        {
-                            "component": row.component,
-                            "label": row.label,
-                            "observed": row.observed,
-                            "expected": row.expected,
-                            "std_err": row.std_err,
-                            "z_score": row.z_score,
-                        }
-                        for row in report.rows()
-                    ],
-                }
-                for report in reports
-            ]
-        return _json(payload)
-
-    text = _csv(
-        [
-            "q",
-            "z",
-            "variant",
-            "budget_surplus",
-            "trials",
-            "seed",
-            "model_prob",
-            "sim_prob",
-            "sim_std_err",
-            "abs_error",
-            "rel_error",
-        ],
-        [
-            [
-                row.q,
-                row.z,
-                variant.value,
+        reports = [
+            component_attribution(
+                MiningPowerSplit(q),
+                z,
                 grid.budget_surplus,
-                row.trials,
-                seed,
-                row.model_prob,
-                row.sim_prob,
-                row.sim_std_err,
-                row.abs_error,
-                row.rel_error,
-            ]
-            for row in rows
-        ],
-    )
-    if args.attribution:
-        text += "\n" + _csv(
-            ["q", "z", "component", "label", "observed", "expected", "std_err", "z_score"],
-            [
-                [
-                    report.q,
-                    report.z,
-                    row.component,
-                    row.label,
-                    row.observed,
-                    row.expected,
-                    row.std_err,
-                    row.z_score,
-                ]
-                for report in reports
-                for row in report.rows()
-            ],
+                grid.trials,
+                derive_seed(seed, qi, zi, 1),
+            )
+            for qi, q in enumerate(grid.q_values)
+            for zi, z in enumerate(grid.z_values)
+            if z >= 1  # attribution needs a non-empty waiting phase
+        ]
+        flat = [(row, report) for report in reports for row in report.rows()]
+        nested = [
+            (report, {"comparisons": [_record(r, _COMPARISON, {}) for r in report.rows()]})
+            for report in reports
+        ]
+        blocks.append(Block(None, _CELL + _COMPARISON, (), flat))
+        blocks.append(
+            Block("attribution", (), _CELL + _ESTIMATES + ("comparisons",), nested)
         )
-    return text
+    return head, blocks
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -489,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.default_seed = _default_seed_from_env()
-        text = args.handler(args)
+        text = _render(args.format, *args.handler(args))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

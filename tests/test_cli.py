@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from doublespend.cli import MAX_Q_RANGE_VALUES, MAX_Z, _parse_q_range, main
+from doublespend.cli import (
+    MAX_Q_RANGE_VALUES,
+    MAX_SURPLUS,
+    MAX_Z,
+    _parse_q_range,
+    main,
+)
 from doublespend import AttackQuery, MiningPowerSplit, Variant, attack_success
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -17,6 +23,14 @@ def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_module(*argv, timeout=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "doublespend", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 def parse_csv(text):
@@ -294,6 +308,15 @@ class TestValidate:
             "catch_up", "mean_k", "k_pmf", "hybrid",
         }
 
+    def test_surplus_at_the_limit_is_accepted(self, capsys):
+        code, out, _ = run_cli(
+            "validate", "--q-values", "0.01", "--z-values", "1", "--trials", "10",
+            "--surplus", str(MAX_SURPLUS), capsys=capsys,
+        )
+        assert code == 0
+        (rows,) = parse_csv(out)
+        assert rows[0]["budget_surplus"] == str(MAX_SURPLUS)
+
     def test_rejects_bad_grid(self, capsys):
         code, _, err = run_cli(
             "validate", "--q-values", "0.3,0.2", "--z-values", "1", capsys=capsys
@@ -375,21 +398,34 @@ class TestGoldenOutputs:
 )
 def test_depth_past_the_model_limit_exits_2_quickly(argv):
     # The model's cost is O(z), so without the limit these never return.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "doublespend", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = run_module(*argv, timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"z must be <= {MAX_Z}" in proc.stderr
 
 
-def test_module_entry_point_runs():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "doublespend", "prob", "--q", "0.25", "--z", "3"],
-        capture_output=True, text=True, env=env,
+@pytest.mark.parametrize("surplus", [str(10**20), str(MAX_SURPLUS + 1)])
+def test_validate_surplus_past_the_limit_exits_2_quickly(surplus):
+    # A chase walk that drifts away runs until it falls `surplus` behind or
+    # reaches the million-flip cap, so a huge surplus took tens of seconds.
+    proc = run_module(
+        "validate", "--q-values", "0.3", "--z-values", "2", "--trials", "100",
+        "--surplus", surplus, timeout=30,
     )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--surplus must be <= {MAX_SURPLUS}" in proc.stderr
+
+
+def test_min_z_checks_every_q_before_searching():
+    # The search at q=0.499 alone takes minutes; 1.5 must be rejected first.
+    proc = run_module("min-z", "--q", "0.499,1.5", "--target", "0.001", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "q must be in (0, 1), got 1.5" in proc.stderr
+
+
+def test_module_entry_point_runs():
+    proc = run_module("prob", "--q", "0.25", "--z", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("q,z,variant,budget_surplus,probability\n")
