@@ -30,15 +30,13 @@ from .model import (
     poisson_rate,
     ruin_win_probability,
 )
-from .rng import TrialStream, derive_seed
+from .rng import derive_seed
 from .simulate import (
     SimulationResult,
     TrialConfig,
-    TrialRecord,
     empirical_catch_up,
     empirical_k_distribution,
     run_trials,
-    simulate_trial,
 )
 from .validate import (
     AttributionReport,
@@ -62,8 +60,6 @@ __all__ = [
     "Summand",
     "SweepGrid",
     "TrialConfig",
-    "TrialRecord",
-    "TrialStream",
     "ValidationRow",
     "Variant",
     "attack_success",
@@ -80,5 +76,4 @@ __all__ = [
     "ruin_win_probability",
     "run_trials",
     "run_validation",
-    "simulate_trial",
 ]

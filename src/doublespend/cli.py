@@ -48,6 +48,9 @@ MAX_Z = 100_000
 # far behind (or hits --max-blocks), so validate bounds it; prob and min-z
 # cost the same at any surplus.
 MAX_SURPLUS = 100_000
+# Simulation time grows linearly in --trials: this many take minutes on the
+# slowest grid cell (q=0.4, z=24), and trial indices stay far below 2**64.
+MAX_TRIALS = 10**8
 
 
 class UsageError(Exception):
@@ -216,7 +219,7 @@ def _cmd_simulate(args) -> tuple[dict, list[Block]]:
     power = _check_q(args.q)
     z = _check_range(args.z, "z", 0)
     _check_range(args.surplus, "--surplus", 1)
-    _check_range(args.trials, "--trials", 1)
+    _check_range(args.trials, "--trials", 1, MAX_TRIALS)
     _check_range(args.max_blocks, "--max-blocks", 1)
     seed = _seed_from(args)
     config = TrialConfig(power, z, args.surplus, args.max_blocks)
@@ -252,7 +255,7 @@ _COMPARISON = ("component", "label", "observed", "expected", "std_err", "z_score
 def _cmd_validate(args) -> tuple[dict, list[Block]]:
     q_values = _parse_list(args.q_values, "--q-values")
     z_values = _parse_list(args.z_values, "--z-values", int)
-    _check_range(args.trials, "--trials", 1)
+    _check_range(args.trials, "--trials", 1, MAX_TRIALS)
     _check_range(args.surplus, "--surplus", 1, MAX_SURPLUS)
     seed = _seed_from(args)
     variant = Variant(args.variant)

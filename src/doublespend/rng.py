@@ -79,22 +79,3 @@ def bernoulli_threshold(q: float) -> int:
         raise ValueError(f"probability out of range: {q!r}")
     return min(int(q * 2.0**64), _MASK64)
 
-
-class TrialStream:
-    """Scalar view of one trial's substream; mirrors the vectorized engine.
-
-    Draw j of trial t is mix64(key + (j + 1) * GOLDEN), identical to what the
-    batched simulator computes, so single-trial replays are bit-exact.
-    """
-
-    def __init__(self, master_seed: int, trial_index: int):
-        self.key = derive_seed(master_seed, trial_index)
-        self.draws = 0
-
-    def next_raw(self) -> int:
-        raw = mix64((self.key + step_offset(self.draws)) & _MASK64)
-        self.draws += 1
-        return raw
-
-    def next_bernoulli(self, threshold: int) -> bool:
-        return self.next_raw() < threshold

@@ -17,8 +17,11 @@ trial t's stream at draw z + k.  empirical_k_distribution is the wait alone;
 empirical_catch_up is the chase alone, for many (deficit, budget, seed) cells
 in one pass.  The kernels take walks in tiles of at most _BATCH_WALKS, so
 their per-walk arrays stay cache-resident and the working set does not grow
-with the trial count.  Trial t draws its coins from a counter-based substream
-keyed by (master_seed, t), so results are bit-identical for a given
+with the trial count.  A finished walk is recorded, then parked: it stays in
+the arrays, drawn for but never matched again, until a quarter of them are
+parked, a flip cap is due or a tile joins, and only then do they compact.
+Trial t draws its coins from a counter-based substream keyed by
+(master_seed, t), so results are bit-identical for a given
 
     (config, trials, master_seed)
 
@@ -35,7 +38,6 @@ import numpy as np
 
 from .model import MiningPowerSplit, DEFAULT_BUDGET_SURPLUS
 from .rng import (
-    TrialStream,
     advance_keys,
     bernoulli_threshold,
     mix64_array,
@@ -46,11 +48,9 @@ from .rng import (
 __all__ = [
     "SimulationResult",
     "TrialConfig",
-    "TrialRecord",
     "empirical_catch_up",
     "empirical_k_distribution",
     "run_trials",
-    "simulate_trial",
 ]
 
 DEFAULT_MAX_BLOCKS = 1_000_000
@@ -61,6 +61,11 @@ DEFAULT_MAX_BLOCKS = 1_000_000
 # stays inside a 2 MiB L2.
 _BATCH_WALKS = 1 << 14
 _FLIP_LIMIT = 2**60  # more coin flips than any run makes
+# A finished walk's k or deficit is set to _PARKED and left in the arrays:
+# _FLIP_LIMIT steps cannot bring it back to 0, so no barrier matches it
+# again.  The arrays compact once _LIVE_FRACTION or less of them is live.
+_PARKED = -(2**62)
+_LIVE_FRACTION = 0.75
 
 
 @dataclass(frozen=True)
@@ -84,20 +89,6 @@ class TrialConfig:
             raise ValueError("budget_surplus must be >= 1")
         if self.max_blocks < 1:
             raise ValueError("max_blocks must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Observables of a single trial."""
-
-    k_during_wait: int
-    attacker_won: bool
-    blocks_elapsed: int
-    capped: bool
-
-    def __post_init__(self) -> None:
-        if self.attacker_won and self.capped:
-            raise ValueError("a capped trial cannot be a win")
 
 
 @dataclass(frozen=True)
@@ -137,35 +128,6 @@ class SimulationResult:
         return sq - m * m
 
 
-def simulate_trial(rng_stream: TrialStream, config: TrialConfig) -> TrialRecord:
-    """Run one race on the given substream; bit-exact replay of the batch engine."""
-    z, surplus = config.z, config.budget_surplus
-    threshold = bernoulli_threshold(config.power.q)
-    h = k = draws = 0
-    while h < z:
-        if draws == config.max_blocks:
-            return TrialRecord(k, False, draws, True)
-        if rng_stream.next_bernoulli(threshold):
-            k += 1
-        else:
-            h += 1
-        draws += 1
-    deficit = z + 1 - k
-    if deficit <= 0:
-        return TrialRecord(k, True, draws, False)
-    loss_at = deficit + (z + surplus - k)
-    d = deficit
-    while True:
-        if d == 0:
-            return TrialRecord(k, True, draws, False)
-        if d == loss_at:
-            return TrialRecord(k, False, draws, False)
-        if draws == config.max_blocks:
-            return TrialRecord(k, False, draws, True)
-        d += -1 if rng_stream.next_bernoulli(threshold) else 1
-        draws += 1
-
-
 def _batches(trials: int, streams_per_trial: int = 1):
     """(start, count) trial ranges of near-equal size, each at most _BATCH_WALKS walks.
 
@@ -197,21 +159,28 @@ def _wait_phase(
     k[i] counts attacker blocks before stream i's z-th honest block, so the
     wait used z + k[i] draws.  A stream still short of z honest blocks after
     max_blocks flips is capped and keeps the k it reached; that is exactly
-    where z + k[i] > max_blocks.
+    where z + k[i] > max_blocks.  A finished stream's k is recorded, then
+    parked at _PARKED, where k == step - z never holds again; the arrays
+    compact once _LIVE_FRACTION or less of them is live.
     """
     k_out = np.zeros(keys.size, dtype=np.int64)
     pos = np.arange(keys.size)
     k = np.zeros(keys.size, dtype=np.int64)
-    step = 0
-    while z > 0 and keys.size and step < max_blocks:  # z = 0 needs no flip
+    live, step = keys.size, 0
+    while z > 0 and live and step < max_blocks:  # z = 0 needs no flip
         k += mix64_array(keys + np.uint64(step_offset(step))) < threshold
         step += 1
         if step >= z:
             done = k == step - z  # step - k honest blocks so far
-            if np.count_nonzero(done):
+            n_done = np.count_nonzero(done)
+            if n_done:
                 k_out[pos[done]] = k[done]
-                keys, pos, k = _keep(~done, keys, pos, k)
-    k_out[pos] = k
+                k[done] = _PARKED
+                live -= n_done
+                if live <= _LIVE_FRACTION * k.size:
+                    keys, pos, k = _keep(k >= 0, keys, pos, k)
+    running = k >= 0
+    k_out[pos[running]] = k[running]
     return k_out, k_out > max_blocks - z
 
 
@@ -242,28 +211,38 @@ def _chase_phase(
     block raises it.  The next tile joins once _BATCH_WALKS // 8 or fewer
     walks are left, so the few long walks of a near-fair race share a loop of
     numpy calls with the next tile instead of holding one to themselves.
+    A finished walk's deficit is parked at _PARKED, below any barrier; the
+    arrays compact once _LIVE_FRACTION or less of them is live, and before
+    a cap check or a join, so those see live walks only.
     Returns (wins per cell, capped walks).
     """
     tiles = iter(tiles)
     keys, d, loss_at, cap, cell = np.empty(0, dtype=np.uint64), 0, 0, 0, 0
     wins = np.zeros(cells, dtype=np.int64)
-    capped = step = 0
+    capped = step = live = 0
     cap_floor = _FLIP_LIMIT
     more = True
-    while keys.size or more:
-        if more and keys.size <= _BATCH_WALKS // 8:
+    while live or more:
+        joining = more and live <= _BATCH_WALKS // 8
+        if live < keys.size and (
+            joining or step >= cap_floor or live <= _LIVE_FRACTION * keys.size
+        ):
+            keys, d, loss_at, cap, cell = _keep(d > 0, keys, d, loss_at, cap, cell)
+        if joining:
             fresh = next(tiles, None)
             more = fresh is not None
             if more:
                 rest = (advance_keys(keys, step), d, loss_at, cap - step, cell)
                 keys, d, loss_at, cap, cell = _join(rest, fresh)
                 rest = fresh = None  # the joined arrays replace them
-                step = 0
+                live, step = keys.size, 0
                 cap_floor = np.min(cap, initial=_FLIP_LIMIT)
             continue
         if step >= cap_floor:
             spent = np.broadcast_to(cap <= step, keys.shape)
-            capped += int(np.count_nonzero(spent))
+            n_spent = int(np.count_nonzero(spent))
+            capped += n_spent
+            live -= n_spent
             keys, d, loss_at, cap, cell = _keep(~spent, keys, d, loss_at, cap, cell)
             cap_floor = np.min(cap, initial=_FLIP_LIMIT)
             continue
@@ -274,12 +253,14 @@ def _chase_phase(
         step += 1
         caught = d == 0
         finished = caught | (d == loss_at)
-        if np.count_nonzero(finished):
+        n_finished = np.count_nonzero(finished)
+        if n_finished:
             if isinstance(cell, np.ndarray):
                 wins += np.bincount(cell[caught], minlength=cells)
             else:
                 wins[cell] += np.count_nonzero(caught)
-            keys, d, loss_at, cap, cell = _keep(~finished, keys, d, loss_at, cap, cell)
+            d[finished] = _PARKED
+            live -= n_finished
     return wins, capped
 
 

@@ -2,13 +2,91 @@
 
 Nothing here imports from the doublespend package: every function evaluates
 the underlying mathematics by a different route (linear algebra, scipy
-distributions, naive direct summation) so agreement is meaningful.
+distributions, naive direct summation, one coin flip at a time) so agreement
+is meaningful.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import stats
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(x: int) -> int:
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+class TrialStream:
+    """Trial t's coin stream, one Python integer draw at a time.
+
+    Draw j is mix64(key + (j + 1) * GOLDEN) with key = mix64(mix64(seed) +
+    (t + 1) * GOLDEN): the documented stream that the simulator's vectorized
+    kernels must reproduce bit for bit.
+    """
+
+    def __init__(self, master_seed: int, trial_index: int):
+        base = _splitmix64(master_seed & _MASK64)
+        self.key = _splitmix64((base + (trial_index + 1) * _GOLDEN) & _MASK64)
+        self.draws = 0
+
+    def next_raw(self) -> int:
+        self.draws += 1
+        return _splitmix64((self.key + self.draws * _GOLDEN) & _MASK64)
+
+    def next_bernoulli(self, threshold: int) -> bool:
+        return self.next_raw() < threshold
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """Observables of a single trial."""
+
+    k_during_wait: int
+    attacker_won: bool
+    blocks_elapsed: int
+    capped: bool
+
+    def __post_init__(self) -> None:
+        if self.attacker_won and self.capped:
+            raise ValueError("a capped trial cannot be a win")
+
+
+def simulate_trial(stream: TrialStream, config) -> TrialRecord:
+    """Play one race of config (a TrialConfig) on stream, one flip at a time."""
+    z, surplus = config.z, config.budget_surplus
+    threshold = min(int(config.power.q * 2.0**64), _MASK64)
+    h = k = draws = 0
+    while h < z:
+        if draws == config.max_blocks:
+            return TrialRecord(k, False, draws, True)
+        if stream.next_bernoulli(threshold):
+            k += 1
+        else:
+            h += 1
+        draws += 1
+    deficit = z + 1 - k
+    if deficit <= 0:
+        return TrialRecord(k, True, draws, False)
+    loss_at = deficit + (z + surplus - k)
+    d = deficit
+    while True:
+        if d == 0:
+            return TrialRecord(k, True, draws, False)
+        if d == loss_at:
+            return TrialRecord(k, False, draws, False)
+        if draws == config.max_blocks:
+            return TrialRecord(k, False, draws, True)
+        d += -1 if stream.next_bernoulli(threshold) else 1
+        draws += 1
 
 
 def ruin_by_linear_solve(i: int, n: int, q: float) -> float:

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+import doublespend.cli as cli_module
 from doublespend.cli import (
     MAX_Q_RANGE_VALUES,
     MAX_SURPLUS,
+    MAX_TRIALS,
     MAX_Z,
     _parse_q_range,
     main,
@@ -223,6 +225,18 @@ class TestSimulate:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_trials_at_the_limit_are_accepted(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli_module, "MAX_TRIALS", 40)
+        argv = ["--q", "0.2", "--z", "1"] if command == "simulate" else []
+        code, out, _ = run_cli(command, *argv, "--trials", "40", capsys=capsys)
+        assert code == 0
+        assert parse_csv(out)[0][0]["trials"] == "40"
+        code, out, err = run_cli(command, *argv, "--trials", "41", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "--trials must be <= 40, got 41" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 7)])
     def test_rejects_seed_outside_64_bits(self, capsys, command, seed):
         argv = ["--q", "0.2", "--z", "1"] if command == "simulate" else []
@@ -415,6 +429,17 @@ def test_validate_surplus_past_the_limit_exits_2_quickly(surplus):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"--surplus must be <= {MAX_SURPLUS}" in proc.stderr
+
+
+@pytest.mark.parametrize("trials", [str(10**20), str(2**64 - 1), str(MAX_TRIALS + 1)])
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_trials_past_the_limit_exit_2_quickly(command, trials):
+    # Run time is linear in --trials, so these ran until killed.
+    argv = ["--q", "0.3", "--z", "2"] if command == "simulate" else []
+    proc = run_module(command, *argv, "--trials", trials, "--seed", "1", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--trials must be <= {MAX_TRIALS}" in proc.stderr
 
 
 def test_min_z_checks_every_q_before_searching():

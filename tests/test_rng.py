@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doublespend.rng import (
-    TrialStream,
     bernoulli_threshold,
     derive_seed,
     mix64,
@@ -11,6 +10,7 @@ from doublespend.rng import (
     step_offset,
     trial_keys,
 )
+from oracles import TrialStream
 
 
 def test_mix64_matches_vectorized():

@@ -8,18 +8,15 @@ from doublespend import (
     AttackQuery,
     MiningPowerSplit,
     TrialConfig,
-    TrialRecord,
-    TrialStream,
     Variant,
     attack_success,
     catch_up_limited,
     empirical_catch_up,
     empirical_k_distribution,
     run_trials,
-    simulate_trial,
 )
 from doublespend.rng import bernoulli_threshold
-from oracles import budgeted_race_law
+from oracles import TrialRecord, TrialStream, budgeted_race_law, simulate_trial
 
 
 def budgeted_model(q, z, surplus=35):
@@ -39,6 +36,63 @@ def replay(config, trials, seed):
     return sum(rec.attacker_won for rec in records), histogram, records
 
 
+def assert_matches_replay(config, trials, seed):
+    """run_trials equals the scalar replay; returns the replay's records."""
+    wins, histogram, records = replay(config, trials, seed)
+    agg = run_trials(config, trials, seed)
+    assert agg.wins == wins
+    assert agg.k_histogram == histogram
+    assert agg.capped_count == sum(rec.capped for rec in records)
+    return records
+
+
+def cap_kinds(records, z, max_blocks):
+    """How the replayed trials met the block cap."""
+    seen = set()
+    for rec in records:
+        if rec.capped and rec.blocks_elapsed - rec.k_during_wait < z:
+            seen.add("wait")  # fewer than z honest blocks at the cap
+            if rec.k_during_wait > z:
+                seen.add("wait_past_z")  # capped, not an instant win
+        elif rec.capped:
+            seen.add("chase")
+        elif rec.blocks_elapsed == max_blocks:
+            seen.add("last")  # finished on the last allowed draw
+    return seen
+
+
+def counting_joins(monkeypatch):
+    """Patch _join to log how many walks each tile join carries; returns the log."""
+    carried = []
+    join = simulate_module._join
+
+    def counting_join(rest, fresh):
+        carried.append(rest[0].size)
+        return join(rest, fresh)
+
+    monkeypatch.setattr(simulate_module, "_join", counting_join)
+    return carried
+
+
+# (q, z, surplus, max_blocks, what the scalar replay must show)
+BLOCK_CAP_CASES = [
+    (0.5, 50, 5, 10, {"wait"}),
+    (0.8, 3, 2, 4, {"wait", "wait_past_z", "chase"}),
+    (0.6, 5, 5, 7, {"wait", "wait_past_z", "chase"}),
+    (0.45, 2, 35, 6, {"wait", "wait_past_z", "chase", "last"}),
+    (0.4, 3, 5, 4, {"wait", "wait_past_z", "chase"}),
+    (0.5, 2, 1, 5, {"wait", "wait_past_z", "chase", "last"}),
+    (0.5, 0, 5, 3, {"chase", "last"}),
+    (0.3, 0, 1, 1, {"last"}),
+    (0.45, 6, 35, 20, {"wait", "wait_past_z", "chase", "last"}),
+]
+# (q, z, surplus, max_blocks), replayed with 128-walk tiles
+CARRY_CASES = [(0.5, 2, 40, 400), (0.45, 0, 20, 60), (0.5, 3, 5, 1_000_000)]
+CATCH_UP_CELLS = [(2, 50, 23), (0, 4, 24), (1, 1, 25), (3, 10, 26), (5, 35, 27), (4, 2, 28)]
+# (q, z, max_blocks)
+WAIT_CASES = [(0.3, 4, 1_000_000), (0.25, 1, 1_000_000), (0.5, 10, 7), (0.4, 24, 30)]
+
+
 def scalar_catch_up(q, deficit, budget, trials, seed, max_blocks):
     """Win fraction of chase walks replayed one draw at a time."""
     threshold = bernoulli_threshold(q)
@@ -49,6 +103,13 @@ def scalar_catch_up(q, deficit, budget, trials, seed, max_blocks):
             d += -1 if stream.next_bernoulli(threshold) else 1
         wins += d == 0
     return wins / trials
+
+
+def assert_catch_up_matches_replay(cells, max_blocks):
+    observed = empirical_catch_up(MiningPowerSplit(0.45), cells, 400, max_blocks)
+    assert observed == [
+        scalar_catch_up(0.45, d, b, 400, seed, max_blocks) for d, b, seed in cells
+    ]
 
 
 def scalar_k_distribution(q, z, trials, seed, max_blocks):
@@ -102,68 +163,23 @@ class TestRunTrials:
 
     def test_matches_scalar_engine_exactly(self):
         config = TrialConfig(MiningPowerSplit(0.3), 2, budget_surplus=5)
-        wins, histogram, _ = replay(config, 3_000, 99)
-        agg = run_trials(config, 3_000, 99)
-        assert agg.wins == wins
-        assert agg.k_histogram == histogram
-        assert agg.capped_count == 0
+        records = assert_matches_replay(config, 3_000, 99)
+        assert not any(rec.capped for rec in records)
 
-    # (q, z, surplus, max_blocks, what the scalar replay must show)
-    @pytest.mark.parametrize(
-        ("q", "z", "surplus", "max_blocks", "kinds"),
-        [
-            (0.5, 50, 5, 10, {"wait"}),
-            (0.8, 3, 2, 4, {"wait", "wait_past_z", "chase"}),
-            (0.6, 5, 5, 7, {"wait", "wait_past_z", "chase"}),
-            (0.45, 2, 35, 6, {"wait", "wait_past_z", "chase", "last"}),
-            (0.4, 3, 5, 4, {"wait", "wait_past_z", "chase"}),
-            (0.5, 2, 1, 5, {"wait", "wait_past_z", "chase", "last"}),
-            (0.5, 0, 5, 3, {"chase", "last"}),
-            (0.3, 0, 1, 1, {"last"}),
-            (0.45, 6, 35, 20, {"wait", "wait_past_z", "chase", "last"}),
-        ],
-    )
+    @pytest.mark.parametrize(("q", "z", "surplus", "max_blocks", "kinds"), BLOCK_CAP_CASES)
     def test_matches_scalar_engine_at_block_cap(self, q, z, surplus, max_blocks, kinds):
         config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
-        wins, histogram, records = replay(config, 2_000, 41)
-        agg = run_trials(config, 2_000, 41)
-        assert agg.wins == wins
-        assert agg.k_histogram == histogram
-        assert agg.capped_count == sum(rec.capped for rec in records)
-        seen = set()
-        for rec in records:
-            if rec.capped and rec.blocks_elapsed - rec.k_during_wait < z:
-                seen.add("wait")  # fewer than z honest blocks at the cap
-                if rec.k_during_wait > z:
-                    seen.add("wait_past_z")  # capped, not an instant win
-            elif rec.capped:
-                seen.add("chase")
-            elif rec.blocks_elapsed == max_blocks:
-                seen.add("last")  # finished on the last allowed draw
-        assert kinds <= seen
+        records = assert_matches_replay(config, 2_000, 41)
+        assert kinds <= cap_kinds(records, z, max_blocks)
 
-    @pytest.mark.parametrize(
-        ("q", "z", "surplus", "max_blocks"),
-        [(0.5, 2, 40, 400), (0.45, 0, 20, 60), (0.5, 3, 5, 1_000_000)],
-    )
+    @pytest.mark.parametrize(("q", "z", "surplus", "max_blocks"), CARRY_CASES)
     def test_matches_scalar_engine_with_walks_carried_across_tiles(
         self, monkeypatch, q, z, surplus, max_blocks
     ):
-        carried = []
-        join = simulate_module._join
-
-        def counting_join(rest, fresh):
-            carried.append(rest[0].size)
-            return join(rest, fresh)
-
+        carried = counting_joins(monkeypatch)
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
-        monkeypatch.setattr(simulate_module, "_join", counting_join)
         config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
-        wins, histogram, records = replay(config, 2_000, 43)
-        agg = run_trials(config, 2_000, 43)
-        assert agg.wins == wins
-        assert agg.k_histogram == histogram
-        assert agg.capped_count == sum(rec.capped for rec in records)
+        assert_matches_replay(config, 2_000, 43)
         assert max(carried) > 0  # some walks rode on into a later tile
 
     @pytest.mark.parametrize(
@@ -303,13 +319,7 @@ class TestEmpiricalCatchUp:
         self, monkeypatch, max_blocks, width
     ):
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
-        cells = [
-            (2, 50, 23), (0, 4, 24), (1, 1, 25), (3, 10, 26), (5, 35, 27), (4, 2, 28)
-        ]
-        observed = empirical_catch_up(MiningPowerSplit(0.45), cells, 400, max_blocks)
-        assert observed == [
-            scalar_catch_up(0.45, d, b, 400, seed, max_blocks) for d, b, seed in cells
-        ]
+        assert_catch_up_matches_replay(CATCH_UP_CELLS, max_blocks)
 
     @pytest.mark.parametrize("width", [7, 613])
     def test_independent_of_tile_width(self, monkeypatch, width):
@@ -360,10 +370,7 @@ class TestEmpiricalKDistribution:
         rate = 6 * q / (1 - q)
         assert var > rate
 
-    @pytest.mark.parametrize(
-        ("q", "z", "max_blocks"),
-        [(0.3, 4, 1_000_000), (0.25, 1, 1_000_000), (0.5, 10, 7), (0.4, 24, 30)],
-    )
+    @pytest.mark.parametrize(("q", "z", "max_blocks"), WAIT_CASES)
     def test_matches_scalar_waits_exactly(self, q, z, max_blocks):
         observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29, max_blocks)
         assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
@@ -377,6 +384,46 @@ class TestEmpiricalKDistribution:
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             empirical_k_distribution(MiningPowerSplit(0.3), 0, 100, 0)
+
+
+class TestParkedWalks:
+    """Finished walks stay parked in the kernels' arrays until they compact.
+
+    At a live fraction of 0.0 the arrays compact only where they must, before
+    a cap check or a tile join; at 1.0 they compact on every step that
+    finishes a walk.  The replays above run at the default in between.
+    """
+
+    @pytest.fixture(
+        autouse=True, params=[0.0, 1.0], ids=["compact-when-forced", "compact-each-finish"]
+    )
+    def live_fraction(self, request, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_LIVE_FRACTION", request.param)
+
+    @pytest.mark.parametrize(("q", "z", "surplus", "max_blocks", "kinds"), BLOCK_CAP_CASES)
+    def test_run_trials_at_block_cap(self, q, z, surplus, max_blocks, kinds):
+        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
+        records = assert_matches_replay(config, 2_000, 41)
+        assert kinds <= cap_kinds(records, z, max_blocks)
+
+    @pytest.mark.parametrize(("q", "z", "surplus", "max_blocks"), CARRY_CASES)
+    def test_run_trials_with_walks_carried(self, monkeypatch, q, z, surplus, max_blocks):
+        carried = counting_joins(monkeypatch)
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
+        assert_matches_replay(config, 2_000, 43)
+        assert max(carried) > 0
+
+    @pytest.mark.parametrize("width", [1 << 14, 64])
+    @pytest.mark.parametrize("max_blocks", [5, 12, 1_000_000])
+    def test_catch_up_cells(self, monkeypatch, max_blocks, width):
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
+        assert_catch_up_matches_replay(CATCH_UP_CELLS, max_blocks)
+
+    @pytest.mark.parametrize(("q", "z", "max_blocks"), WAIT_CASES)
+    def test_k_distribution(self, q, z, max_blocks):
+        observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29, max_blocks)
+        assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
 
 
 def traced_peak_mib(fn) -> float:
