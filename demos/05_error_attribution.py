@@ -15,10 +15,10 @@ Equivalent CLI invocation:
         --seed 314 --attribution
 """
 
-from doublespend import MiningPowerSplit, component_attribution
+from doublespend import SweepGrid, run_attribution
 
-report = component_attribution(
-    MiningPowerSplit(0.25), z=3, budget_surplus=35, trials=200_000, master_seed=314
+(report,) = run_attribution(
+    SweepGrid((0.25,), (3,), budget_surplus=35, trials=200_000, master_seed=314)
 )
 
 print(f"attribution at q = {report.q}, z = {report.z}, "

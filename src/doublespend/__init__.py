@@ -44,6 +44,7 @@ from .validate import (
     SweepGrid,
     ValidationRow,
     component_attribution,
+    run_attribution,
     run_validation,
 )
 
@@ -74,6 +75,7 @@ __all__ = [
     "poisson_pmf",
     "poisson_rate",
     "ruin_win_probability",
+    "run_attribution",
     "run_trials",
     "run_validation",
 ]

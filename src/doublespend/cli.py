@@ -30,9 +30,8 @@ from .model import (
     min_confirmations,
     DEFAULT_BUDGET_SURPLUS,
 )
-from .rng import derive_seed
 from .simulate import DEFAULT_MAX_BLOCKS, TrialConfig, run_trials
-from .validate import SweepGrid, component_attribution, run_validation
+from .validate import SweepGrid, run_attribution, run_validation
 
 ENV_SEED = "DOUBLESPEND_SEED"
 DEFAULT_SEED = 20090103
@@ -281,18 +280,7 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     json_columns = _CELL + _ERRORS + ("trials",)
     blocks = [Block("rows", csv, json_columns, run_validation(grid))]
     if args.attribution:
-        reports = [
-            component_attribution(
-                MiningPowerSplit(q),
-                z,
-                grid.budget_surplus,
-                grid.trials,
-                derive_seed(seed, qi, zi, 1),
-            )
-            for qi, q in enumerate(grid.q_values)
-            for zi, z in enumerate(grid.z_values)
-            if z >= 1  # attribution needs a non-empty waiting phase
-        ]
+        reports = run_attribution(grid)
         flat = [(row, report) for report in reports for row in report.rows()]
         nested = [
             (report, {"comparisons": [_record(r, _COMPARISON, {}) for r in report.rows()]})

@@ -128,6 +128,11 @@ class SimulationResult:
         return sq - m * m
 
 
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials < 2**64:  # trial t's stream key is built from t + 1 < 2**64
+        raise ValueError("trials must be >= 1" if trials < 1 else "trials must be < 2**64")
+
+
 def _batches(trials: int, streams_per_trial: int = 1):
     """(start, count) trial ranges of near-equal size, each at most _BATCH_WALKS walks.
 
@@ -146,9 +151,12 @@ def _fold_histogram(histogram: dict[int, int], k: np.ndarray) -> None:
             histogram[kk] = histogram.get(kk, 0) + int(n)
 
 
-def _keep(keep: np.ndarray, *state):
-    """Each per-stream array in state compacted to keep; scalars pass through."""
-    return [x[keep] if isinstance(x, np.ndarray) else x for x in state]
+def _keep(keep: np.ndarray, live: int, *state):
+    """Per-walk arrays compacted to keep; a slipped live count fails, not spins."""
+    state = [x[keep] for x in state]
+    if state[0].size != live:
+        raise RuntimeError(f"{live} walks are live but {state[0].size} were kept")
+    return state
 
 
 def _wait_phase(
@@ -178,23 +186,17 @@ def _wait_phase(
                 k[done] = _PARKED
                 live -= n_done
                 if live <= _LIVE_FRACTION * k.size:
-                    keys, pos, k = _keep(k >= 0, keys, pos, k)
+                    keys, pos, k = _keep(k >= 0, live, keys, pos, k)
     running = k >= 0
     k_out[pos[running]] = k[running]
     return k_out, k_out > max_blocks - z
 
 
 def _join(rest, fresh):
-    """Carried walks followed by a fresh tile's; equal shared scalars stay scalars."""
+    """Carried walks followed by a fresh tile's."""
     if not rest[0].size:
         return fresh
-    n = rest[0].size, fresh[0].size
-    return tuple(
-        a
-        if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b
-        else np.concatenate([np.broadcast_to(a, n[:1]), np.broadcast_to(b, n[1:])])
-        for a, b in zip(rest, fresh)
-    )
+    return tuple(map(np.concatenate, zip(rest, fresh)))
 
 
 def _chase_phase(
@@ -202,22 +204,21 @@ def _chase_phase(
 ) -> tuple[np.ndarray, int]:
     """Walk each deficit until it wins at 0, loses at its barrier or makes cap flips.
 
-    tiles yields walks tuples (keys, d, loss_at, cap, cell): stream keys,
-    deficits (int64 arrays, updated in place), loss barriers, flip caps and
-    labels in range(cells).  loss_at, cap and cell are each a scalar shared
-    by every walk or an array with one entry per walk; shared values stay
-    scalars, and cap is compared only once the step count reaches the
-    smallest one.  An attacker block lowers a deficit by one and an honest
-    block raises it.  The next tile joins once _BATCH_WALKS // 8 or fewer
-    walks are left, so the few long walks of a near-fair race share a loop of
-    numpy calls with the next tile instead of holding one to themselves.
-    A finished walk's deficit is parked at _PARKED, below any barrier; the
-    arrays compact once _LIVE_FRACTION or less of them is live, and before
-    a cap check or a join, so those see live walks only.
-    Returns (wins per cell, capped walks).
+    tiles yields walks tuples (keys, d, loss_at, cap, cell), each field an
+    array with one entry per walk: stream keys, deficits (int64, updated in
+    place), loss barriers, flip caps and labels in range(cells).  cap is
+    compared only once the step count reaches the smallest one.  An attacker
+    block lowers a deficit by one and an honest block raises it.  The next
+    tile joins once _BATCH_WALKS // 8 or fewer walks are left, so the few
+    long walks of a near-fair race share a loop of numpy calls with the next
+    tile instead of holding one to themselves.  A finished walk's deficit is
+    parked at _PARKED, below any barrier; the arrays compact once
+    _LIVE_FRACTION or less of them is live, and before a cap check or a
+    join, so those see live walks only.  Returns (wins per cell, capped walks).
     """
     tiles = iter(tiles)
-    keys, d, loss_at, cap, cell = np.empty(0, dtype=np.uint64), 0, 0, 0, 0
+    keys = np.empty(0, dtype=np.uint64)
+    d = loss_at = cap = cell = np.empty(0, dtype=np.int64)
     wins = np.zeros(cells, dtype=np.int64)
     capped = step = live = 0
     cap_floor = _FLIP_LIMIT
@@ -227,7 +228,7 @@ def _chase_phase(
         if live < keys.size and (
             joining or step >= cap_floor or live <= _LIVE_FRACTION * keys.size
         ):
-            keys, d, loss_at, cap, cell = _keep(d > 0, keys, d, loss_at, cap, cell)
+            keys, d, loss_at, cap, cell = _keep(d > 0, live, keys, d, loss_at, cap, cell)
         if joining:
             fresh = next(tiles, None)
             more = fresh is not None
@@ -239,11 +240,11 @@ def _chase_phase(
                 cap_floor = np.min(cap, initial=_FLIP_LIMIT)
             continue
         if step >= cap_floor:
-            spent = np.broadcast_to(cap <= step, keys.shape)
+            spent = cap <= step
             n_spent = int(np.count_nonzero(spent))
             capped += n_spent
             live -= n_spent
-            keys, d, loss_at, cap, cell = _keep(~spent, keys, d, loss_at, cap, cell)
+            keys, d, loss_at, cap, cell = _keep(~spent, live, keys, d, loss_at, cap, cell)
             cap_floor = np.min(cap, initial=_FLIP_LIMIT)
             continue
         attacker = mix64_array(keys + np.uint64(step_offset(step))) < threshold
@@ -255,10 +256,7 @@ def _chase_phase(
         finished = caught | (d == loss_at)
         n_finished = np.count_nonzero(finished)
         if n_finished:
-            if isinstance(cell, np.ndarray):
-                wins += np.bincount(cell[caught], minlength=cells)
-            else:
-                wins[cell] += np.count_nonzero(caught)
+            wins += np.bincount(cell[caught], minlength=cells)
             d[finished] = _PARKED
             live -= n_finished
     return wins, capped
@@ -266,8 +264,7 @@ def _chase_phase(
 
 def run_trials(config: TrialConfig, trials: int, master_seed: int) -> SimulationResult:
     """Aggregate independent trials; deterministic in (config, trials, master_seed)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     # No run makes _FLIP_LIMIT flips, so larger values act alike; clamped, the
     # chase's barriers and caps fit int64.
     limits = (config.z, config.budget_surplus, config.max_blocks)
@@ -293,7 +290,7 @@ def run_trials(config: TrialConfig, trials: int, master_seed: int) -> Simulation
                 z + 1 - kc,
                 2 * (z - kc) + 1 + surplus,
                 max_blocks - z - kc,
-                0,
+                np.zeros(kc.size, dtype=np.int64),
             )
 
     chase_wins, chase_capped = _chase_phase(threshold, chase_tiles())
@@ -318,8 +315,7 @@ def empirical_catch_up(
     (essentially impossible with a finite budget) count as losses.
     """
     cells = list(cells)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     for deficit, budget, _ in cells:
         if deficit < 0:
             raise ValueError("deficit must be >= 0")
@@ -329,14 +325,12 @@ def empirical_catch_up(
     # Clamped as in run_trials: past _FLIP_LIMIT no barrier is reachable.
     start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in live], dtype=np.int64)
     loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in live]
-    labels = np.arange(len(live))
+    cap = np.full(len(live), min(max_blocks, _FLIP_LIMIT))
+    per_cell = (start_d, loss_at, cap, np.arange(len(live)))  # d, loss_at, cap, cell
     tiles = (
         (
             np.concatenate([trial_keys(s, count, start=start) for _, _, s in live]),
-            np.repeat(start_d, count),
-            np.repeat(loss_at, count),
-            min(max_blocks, _FLIP_LIMIT),
-            np.repeat(labels, count),
+            *(np.repeat(x, count) for x in per_cell),
         )
         for start, count in (_batches(trials, len(live)) if live else ())
     )
@@ -362,8 +356,7 @@ def empirical_k_distribution(
     """
     if z < 1:
         raise ValueError("z must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     threshold = np.uint64(bernoulli_threshold(power.q))
     histogram: dict[int, int] = {}
     for start, count in _batches(trials):

@@ -4,7 +4,8 @@ run_validation sweeps a (q, z) grid, computing the closed-form attack success
 and the Monte Carlo estimate side by side with absolute and relative errors.
 
 component_attribution breaks the budgeted model into its three components and
-tests each one against the simulator separately:
+tests each one against the simulator separately (run_attribution does so at
+every cell of a grid):
 
   (a) the catch-up probabilities, at exactly the deficit/budget pairs the
       budgeted sum uses;
@@ -28,7 +29,7 @@ from .model import (
     MiningPowerSplit,
     Variant,
     attack_success,
-    catch_up_limited,
+    attack_summands,
     poisson_pmf,
     poisson_rate,
     DEFAULT_BUDGET_SURPLUS,
@@ -47,6 +48,7 @@ __all__ = [
     "SweepGrid",
     "ValidationRow",
     "component_attribution",
+    "run_attribution",
     "run_validation",
 ]
 
@@ -194,26 +196,27 @@ def component_attribution(
     if z < 1:
         raise ValueError("z must be >= 1")
     rate = poisson_rate(z, power)
+    query = AttackQuery(power, z, Variant.BUDGETED, budget_surplus)
+    # The budgeted sum's catch-up at k = 0..z+1; at k = z+1 it is 1.0.
+    catch = [row.catch_up for row in attack_summands(query)]
 
     # (a) catch-up at the deficit/budget pairs the budgeted sum uses
     cells = [
         (z + 1 - k, z + budget_surplus - k, derive_seed(master_seed, 1, k))
         for k in range(z + 1)
     ]
-    catch_rows = []
-    for (deficit, budget, _), observed in zip(
-        cells, empirical_catch_up(power, cells, trials)
-    ):
-        expected = catch_up_limited(deficit, budget, power)
-        catch_rows.append(
-            ComparisonRow(
-                component="catch_up",
-                label=f"deficit={deficit},budget={budget}",
-                observed=observed,
-                expected=expected,
-                std_err=_binomial_se(expected, trials),
-            )
+    catch_rows = [
+        ComparisonRow(
+            component="catch_up",
+            label=f"deficit={deficit},budget={budget}",
+            observed=observed,
+            expected=expected,
+            std_err=_binomial_se(expected, trials),
         )
+        for (deficit, budget, _), observed, expected in zip(
+            cells, empirical_catch_up(power, cells, trials), catch
+        )
+    ]
 
     # (b) and (c): one wait-phase run feeds the mean and the distribution
     k_dist = empirical_k_distribution(power, z, trials, derive_seed(master_seed, 2))
@@ -256,13 +259,8 @@ def component_attribution(
     )
 
     # Hybrid model: the budgeted sum re-weighted by the empirical k law.
-    def _catch(k: int) -> float:
-        if k >= z + 1:
-            return 1.0
-        return catch_up_limited(z + 1 - k, z + budget_surplus - k, power)
-
-    hybrid = sum(w * _catch(k) for k, w in k_dist.items())
-    hybrid_sq = sum(w * _catch(k) ** 2 for k, w in k_dist.items())
+    hybrid = sum(w * catch[min(k, z + 1)] for k, w in k_dist.items())
+    hybrid_sq = sum(w * catch[min(k, z + 1)] ** 2 for k, w in k_dist.items())
     hybrid_se = math.sqrt(max(hybrid_sq - hybrid * hybrid, 0.0) / trials)
 
     race = run_trials(
@@ -276,14 +274,13 @@ def component_attribution(
         std_err=math.sqrt(hybrid_se**2 + race.std_err**2),
     )
 
-    model = attack_success(AttackQuery(power, z, Variant.BUDGETED, budget_surplus))
     return AttributionReport(
         q=power.q,
         z=z,
         budget_surplus=budget_surplus,
         trials=trials,
         master_seed=master_seed,
-        model_prob=model,
+        model_prob=attack_success(query),
         sim_prob=race.success_rate,
         sim_std_err=race.std_err,
         catch_up=tuple(catch_rows),
@@ -292,3 +289,22 @@ def component_attribution(
         total_variation=tvd_row,
         hybrid=hybrid_row,
     )
+
+
+def run_attribution(grid: SweepGrid) -> list[AttributionReport]:
+    """component_attribution of the budgeted model at every cell with z >= 1.
+
+    Cell (q index, z index) seeds from (master_seed, q index, z index, 1).
+    """
+    return [
+        component_attribution(
+            MiningPowerSplit(q),
+            z,
+            grid.budget_surplus,
+            grid.trials,
+            derive_seed(grid.master_seed, qi, zi, 1),
+        )
+        for qi, q in enumerate(grid.q_values)
+        for zi, z in enumerate(grid.z_values)
+        if z >= 1  # attribution needs a non-empty waiting phase
+    ]

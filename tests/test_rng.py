@@ -38,6 +38,13 @@ def test_trial_keys_match_derive_seed():
     assert [int(k) for k in keys] == [derive_seed(77, t) for t in range(50)]
 
 
+def test_trial_keys_reach_the_last_trial_index():
+    # The largest trial count the simulator accepts is 2**64 - 1, whose last
+    # trial has index 2**64 - 2.
+    last = 2**64 - 2
+    assert [int(k) for k in trial_keys(3, 1, start=last)] == [derive_seed(3, last)]
+
+
 def test_trial_keys_start_offset():
     full = trial_keys(5, 100)
     tail = trial_keys(5, 40, start=60)

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -17,6 +21,8 @@ from doublespend import (
 )
 from doublespend.rng import bernoulli_threshold
 from oracles import TrialRecord, TrialStream, budgeted_race_law, simulate_trial
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def budgeted_model(q, z, surplus=35):
@@ -424,6 +430,78 @@ class TestParkedWalks:
     def test_k_distribution(self, q, z, max_blocks):
         observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29, max_blocks)
         assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
+
+
+def no_keys(*args, **kwargs):
+    raise AssertionError("drew trial keys before checking the trial count")
+
+
+class TestTrialBound:
+    """Trial t's stream key is built from t + 1, so 2**64 trials cannot run."""
+
+    ENTRY_POINTS = {
+        "run_trials": lambda n: run_trials(TrialConfig(MiningPowerSplit(0.3), 2), n, 1),
+        "empirical_catch_up": lambda n: empirical_catch_up(
+            MiningPowerSplit(0.3), [(1, 5, 0)], n
+        ),
+        "empirical_k_distribution": lambda n: empirical_k_distribution(
+            MiningPowerSplit(0.3), 2, n, 0
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        ("trials", "message"),
+        [(0, "trials must be >= 1"), (2**64, r"trials must be < 2\*\*64")],
+    )
+    def test_rejects_trial_counts_out_of_range_at_once(
+        self, monkeypatch, entry, trials, message
+    ):
+        monkeypatch.setattr(simulate_module, "trial_keys", no_keys)
+        with pytest.raises(ValueError, match=message):
+            self.ENTRY_POINTS[entry](trials)
+
+
+# Runs one kernel with _keep patched to drop one live walk from every
+# compaction, so the kept arrays hold one walk fewer than the live count.
+SLIPPED_COUNT = """\
+import numpy as np
+import doublespend.simulate as sim
+from doublespend import MiningPowerSplit, TrialConfig
+
+keep = sim._keep
+
+def drop_one_live_walk(mask, live, *state):
+    mask = mask.copy()
+    mask[np.flatnonzero(mask)[:1]] = False
+    return keep(mask, live, *state)
+
+sim._keep = drop_one_live_walk
+sim._LIVE_FRACTION = {fraction}
+power = MiningPowerSplit(0.45)
+sim.{call}
+"""
+
+
+@pytest.mark.parametrize(
+    ("call", "fraction", "site"),
+    [
+        ("empirical_k_distribution(power, 4, 2_000, 1)", 0.75, "_keep(k >= 0"),
+        ("empirical_catch_up(power, [(2, 10, 3)], 2_000)", 0.75, "_keep(d > 0"),
+        # Caps of 0 flips put a cap check before any walk finishes.
+        ("run_trials(TrialConfig(power, 2, 35, 4), 2_000, 1)", 0.0, "_keep(~spent"),
+    ],
+    ids=["wait", "chase", "chase-cap-check"],
+)
+def test_slipped_live_count_fails_instead_of_hanging(call, fraction, site):
+    script = SLIPPED_COUNT.format(call=call, fraction=fraction)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 1
+    assert "RuntimeError: " in proc.stderr and site in proc.stderr, proc.stderr
 
 
 def traced_peak_mib(fn) -> float:

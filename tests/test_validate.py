@@ -12,6 +12,7 @@ from doublespend import (
     component_attribution,
     empirical_catch_up,
     empirical_k_distribution,
+    run_attribution,
     run_trials,
     run_validation,
 )
@@ -114,6 +115,21 @@ class TestComponentAttribution:
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             component_attribution(MiningPowerSplit(0.25), 0, 35, 100, 0)
+
+    def test_grid_runs_each_cell_with_its_derived_seed_and_skips_zero_depth(self):
+        grid = SweepGrid(
+            (0.2, 0.35), (0, 2, 3), budget_surplus=20, trials=300, master_seed=17
+        )
+        reports = run_attribution(grid)
+        assert [(r.q, r.z) for r in reports] == [(0.2, 2), (0.2, 3), (0.35, 2), (0.35, 3)]
+        assert reports == [
+            component_attribution(
+                MiningPowerSplit(q), z, 20, 300, derive_seed(17, qi, zi, 1)
+            )
+            for qi, q in enumerate(grid.q_values)
+            for zi, z in enumerate(grid.z_values)
+            if z
+        ]
 
     def test_hybrid_reduces_error_wherever_model_is_biased(self):
         # The quantitative form of "the Poisson density is the error source":
