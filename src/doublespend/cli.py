@@ -258,17 +258,14 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     _check_range(args.surplus, "--surplus", 1, MAX_SURPLUS)
     seed = _seed_from(args)
     variant = Variant(args.variant)
-    try:
-        grid = SweepGrid(
-            q_values=tuple(q_values),
-            z_values=tuple(z_values),
-            variant=variant,
-            budget_surplus=args.surplus,
-            trials=args.trials,
-            master_seed=seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    grid = SweepGrid(
+        q_values=tuple(q_values),
+        z_values=tuple(z_values),
+        variant=variant,
+        budget_surplus=args.surplus,
+        trials=args.trials,
+        master_seed=seed,
+    )
     _check_range(grid.z_values[-1], "z", 0, MAX_Z)
     head = {
         "variant": variant.value,

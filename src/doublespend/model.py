@@ -337,19 +337,18 @@ def min_confirmations(
     target: float,
     variant: Variant = Variant.CORRECTED,
     budget_surplus: int = DEFAULT_BUDGET_SURPLUS,
-    search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> int | None:
     """Smallest z with attack_success(z) <= target, by ascending enumeration.
 
     Returns None when no finite depth works: a majority attacker under the
     original or corrected variants always succeeds, and the search gives up
-    past ``search_cap`` so it terminates near q = 0.5 where z diverges.
+    past DEFAULT_SEARCH_CAP so it terminates near q = 0.5 where z diverges.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
     if variant is not Variant.BUDGETED and power.p <= power.q:
         return None
-    for z in range(search_cap + 1):
+    for z in range(DEFAULT_SEARCH_CAP + 1):
         query = AttackQuery(power, z, variant, budget_surplus)
         if attack_success(query) <= target:
             return z

@@ -17,9 +17,9 @@ trial t's stream at draw z + k.  empirical_k_distribution is the wait alone;
 empirical_catch_up is the chase alone, for many (deficit, budget, seed) cells
 in one pass.  The kernels take walks in tiles of at most _BATCH_WALKS, so
 their per-walk arrays stay cache-resident and the working set does not grow
-with the trial count.  A finished walk is recorded, then parked: it stays in
-the arrays, drawn for but never matched again, until a quarter of them are
-parked, a flip cap is due or a tile joins, and only then do they compact.
+with the trial count.  A finished or capped walk is recorded, then parked: it
+stays in the arrays, drawn for but never matched again, until a quarter of
+them are parked or a tile joins, and only then do they compact.
 Trial t draws its coins from a counter-based substream keyed by
 (master_seed, t), so results are bit-identical for a given
 
@@ -61,7 +61,8 @@ DEFAULT_MAX_BLOCKS = 1_000_000
 # stays inside a 2 MiB L2.
 _BATCH_WALKS = 1 << 14
 _FLIP_LIMIT = 2**60  # more coin flips than any run makes
-# A finished walk's k or deficit is set to _PARKED and left in the arrays:
+# A finished wait's k, or a finished or capped chase's deficit, is set to
+# _PARKED and left in the arrays:
 # _FLIP_LIMIT steps cannot bring it back to 0, so no barrier matches it
 # again.  The arrays compact once _LIVE_FRACTION or less of them is live.
 _PARKED = -(2**62)
@@ -72,9 +73,9 @@ _LIVE_FRACTION = 0.75
 class TrialConfig:
     """Parameters of one simulated race.
 
-    max_blocks is a per-trial safety cap on total coin flips; with any sane
-    budget the race absorbs long before it.  Capped trials are counted and
-    reported, never dropped.
+    max_blocks is the one flip cap a caller sets: a per-trial safety cap on
+    total coin flips, which a race with any sane budget absorbs long before.
+    Capped trials are counted and reported, never dropped.
     """
 
     power: MiningPowerSplit
@@ -207,14 +208,15 @@ def _chase_phase(
     tiles yields walks tuples (keys, d, loss_at, cap, cell), each field an
     array with one entry per walk: stream keys, deficits (int64, updated in
     place), loss barriers, flip caps and labels in range(cells).  cap is
-    compared only once the step count reaches the smallest one.  An attacker
-    block lowers a deficit by one and an honest block raises it.  The next
-    tile joins once _BATCH_WALKS // 8 or fewer walks are left, so the few
-    long walks of a near-fair race share a loop of numpy calls with the next
-    tile instead of holding one to themselves.  A finished walk's deficit is
-    parked at _PARKED, below any barrier; the arrays compact once
-    _LIVE_FRACTION or less of them is live, and before a cap check or a
-    join, so those see live walks only.  Returns (wins per cell, capped walks).
+    compared only once the step count reaches the smallest live one.  An
+    attacker block lowers a deficit by one and an honest block raises it.
+    The next tile joins once _BATCH_WALKS // 8 or fewer walks are left, so
+    the few long walks of a near-fair race share a loop of numpy calls with
+    the next tile instead of holding one to themselves.  A walk that wins,
+    loses or spends its cap has its deficit parked at _PARKED, below any
+    barrier; the arrays compact lazily, once _LIVE_FRACTION or less of them
+    is live, or before a join, so a join carries live walks only.  Returns
+    (wins per cell, capped walks).
     """
     tiles = iter(tiles)
     keys = np.empty(0, dtype=np.uint64)
@@ -225,9 +227,7 @@ def _chase_phase(
     more = True
     while live or more:
         joining = more and live <= _BATCH_WALKS // 8
-        if live < keys.size and (
-            joining or step >= cap_floor or live <= _LIVE_FRACTION * keys.size
-        ):
+        if live < keys.size and (joining or live <= _LIVE_FRACTION * keys.size):
             keys, d, loss_at, cap, cell = _keep(d > 0, live, keys, d, loss_at, cap, cell)
         if joining:
             fresh = next(tiles, None)
@@ -240,12 +240,13 @@ def _chase_phase(
                 cap_floor = np.min(cap, initial=_FLIP_LIMIT)
             continue
         if step >= cap_floor:
-            spent = cap <= step
+            running = d > 0
+            spent = running & (cap <= step)
             n_spent = int(np.count_nonzero(spent))
             capped += n_spent
             live -= n_spent
-            keys, d, loss_at, cap, cell = _keep(~spent, live, keys, d, loss_at, cap, cell)
-            cap_floor = np.min(cap, initial=_FLIP_LIMIT)
+            d[spent] = _PARKED
+            cap_floor = np.min(cap, where=running & ~spent, initial=_FLIP_LIMIT)
             continue
         attacker = mix64_array(keys + np.uint64(step_offset(step))) < threshold
         d -= attacker  # in place, as -2 * attacker + 1 would allocate twice
@@ -299,20 +300,16 @@ def run_trials(config: TrialConfig, trials: int, master_seed: int) -> Simulation
     return SimulationResult(config, trials, wins, histogram, master_seed, capped)
 
 
-def empirical_catch_up(
-    power: MiningPowerSplit,
-    cells,
-    trials: int,
-    max_blocks: int = DEFAULT_MAX_BLOCKS,
-) -> list[float]:
+def empirical_catch_up(power: MiningPowerSplit, cells, trials: int) -> list[float]:
     """Win fraction of chase-phase walks per (deficit, budget, master_seed) cell.
 
     A cell's walks win at 0 and lose at deficit + budget; walk t draws from
     substream (master_seed, t), so a cell's fraction is the same alone or
     among others.  All cells' walks share one chase pass.  Validates the
     catch-up component of the model independently of the Poisson component.
-    A deficit of 0 is an immediate win.  Walks that hit the block cap
-    (essentially impossible with a finite budget) count as losses.
+    A deficit of 0 is an immediate win.  Walks still running after
+    DEFAULT_MAX_BLOCKS flips count as losses; near-fair walks with a large
+    budget do reach it (q=0.49 with a budget past 1e5, for one).
     """
     cells = list(cells)
     _check_trials(trials)
@@ -325,7 +322,7 @@ def empirical_catch_up(
     # Clamped as in run_trials: past _FLIP_LIMIT no barrier is reachable.
     start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in live], dtype=np.int64)
     loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in live]
-    cap = np.full(len(live), min(max_blocks, _FLIP_LIMIT))
+    cap = np.full(len(live), DEFAULT_MAX_BLOCKS)
     per_cell = (start_d, loss_at, cap, np.arange(len(live)))  # d, loss_at, cap, cell
     tiles = (
         (
@@ -341,18 +338,14 @@ def empirical_catch_up(
 
 
 def empirical_k_distribution(
-    power: MiningPowerSplit,
-    z: int,
-    trials: int,
-    master_seed: int,
-    max_blocks: int = DEFAULT_MAX_BLOCKS,
+    power: MiningPowerSplit, z: int, trials: int, master_seed: int
 ) -> dict[int, float]:
     """Normalized histogram of attacker blocks mined while honest miners reach z.
 
     Wait-phase-only simulation.  Under the per-block coin-flip model the true
     law of k is negative binomial, not Poisson; this instrument is what makes
-    that gap observable.  Capped trials count at the k they reached, so the
-    weights still sum to one.
+    that gap observable.  Trials capped at DEFAULT_MAX_BLOCKS flips count at
+    the k they reached, so the weights still sum to one.
     """
     if z < 1:
         raise ValueError("z must be >= 1")
@@ -361,5 +354,5 @@ def empirical_k_distribution(
     histogram: dict[int, int] = {}
     for start, count in _batches(trials):
         keys = trial_keys(master_seed, count, start=start)
-        _fold_histogram(histogram, _wait_phase(keys, threshold, z, max_blocks)[0])
+        _fold_histogram(histogram, _wait_phase(keys, threshold, z, DEFAULT_MAX_BLOCKS)[0])
     return {kk: n / trials for kk, n in sorted(histogram.items())}

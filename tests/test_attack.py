@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import doublespend.model as model_module
 from doublespend import (
     AttackQuery,
     MiningPowerSplit,
@@ -162,10 +163,9 @@ class TestMinConfirmations:
         if z > 0:
             assert attack_success_naive(q, z - 1, "corrected") > target
 
-    def test_search_cap_returns_none(self):
-        assert (
-            min_confirmations(MiningPowerSplit(0.45), 1e-6, search_cap=3) is None
-        )
+    def test_search_cap_returns_none(self, monkeypatch):
+        monkeypatch.setattr(model_module, "DEFAULT_SEARCH_CAP", 3)
+        assert min_confirmations(MiningPowerSplit(0.45), 1e-6) is None
 
     def test_rejects_bad_targets(self):
         for target in (0.0, 1.0, -0.2, 1.7):

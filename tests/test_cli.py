@@ -332,10 +332,11 @@ class TestValidate:
         assert rows[0]["budget_surplus"] == str(MAX_SURPLUS)
 
     def test_rejects_bad_grid(self, capsys):
-        code, _, err = run_cli(
-            "validate", "--q-values", "0.3,0.2", "--z-values", "1", capsys=capsys
+        code, out, err = run_cli(
+            "validate", "--q-values", "0.3,0.2", "--trials", "10", capsys=capsys
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert "q_values must be ascending and duplicate-free" in err
 
 
 class TestGoldenOutputs:

@@ -111,8 +111,14 @@ def scalar_catch_up(q, deficit, budget, trials, seed, max_blocks):
     return wins / trials
 
 
-def assert_catch_up_matches_replay(cells, max_blocks):
-    observed = empirical_catch_up(MiningPowerSplit(0.45), cells, 400, max_blocks)
+def set_flip_cap(monkeypatch, max_blocks):
+    """Cap empirical_catch_up and empirical_k_distribution walks at max_blocks flips."""
+    monkeypatch.setattr(simulate_module, "DEFAULT_MAX_BLOCKS", max_blocks)
+
+
+def assert_catch_up_matches_replay(monkeypatch, cells, max_blocks):
+    set_flip_cap(monkeypatch, max_blocks)
+    observed = empirical_catch_up(MiningPowerSplit(0.45), cells, 400)
     assert observed == [
         scalar_catch_up(0.45, d, b, 400, seed, max_blocks) for d, b, seed in cells
     ]
@@ -128,6 +134,12 @@ def scalar_k_distribution(q, z, trials, seed, max_blocks):
             k += stream.next_bernoulli(threshold)
         histogram[k] = histogram.get(k, 0) + 1
     return {k: n / trials for k, n in sorted(histogram.items())}
+
+
+def assert_waits_match_replay(monkeypatch, q, z, max_blocks):
+    set_flip_cap(monkeypatch, max_blocks)
+    observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29)
+    assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
 
 
 class TestSingleTrial:
@@ -313,10 +325,11 @@ class TestEmpiricalCatchUp:
             (0.45, 5, 35, 12),
         ],
     )
-    def test_matches_scalar_walks_exactly(self, q, deficit, budget, max_blocks):
-        [observed] = empirical_catch_up(
-            MiningPowerSplit(q), [(deficit, budget, 23)], 400, max_blocks
-        )
+    def test_matches_scalar_walks_exactly(
+        self, monkeypatch, q, deficit, budget, max_blocks
+    ):
+        set_flip_cap(monkeypatch, max_blocks)
+        [observed] = empirical_catch_up(MiningPowerSplit(q), [(deficit, budget, 23)], 400)
         assert observed == scalar_catch_up(q, deficit, budget, 400, 23, max_blocks)
 
     @pytest.mark.parametrize("width", [1 << 14, 64])
@@ -325,7 +338,7 @@ class TestEmpiricalCatchUp:
         self, monkeypatch, max_blocks, width
     ):
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
-        assert_catch_up_matches_replay(CATCH_UP_CELLS, max_blocks)
+        assert_catch_up_matches_replay(monkeypatch, CATCH_UP_CELLS, max_blocks)
 
     @pytest.mark.parametrize("width", [7, 613])
     def test_independent_of_tile_width(self, monkeypatch, width):
@@ -377,9 +390,8 @@ class TestEmpiricalKDistribution:
         assert var > rate
 
     @pytest.mark.parametrize(("q", "z", "max_blocks"), WAIT_CASES)
-    def test_matches_scalar_waits_exactly(self, q, z, max_blocks):
-        observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29, max_blocks)
-        assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
+    def test_matches_scalar_waits_exactly(self, monkeypatch, q, z, max_blocks):
+        assert_waits_match_replay(monkeypatch, q, z, max_blocks)
 
     @pytest.mark.parametrize("width", [7, 613])
     def test_independent_of_tile_width(self, monkeypatch, width):
@@ -395,9 +407,9 @@ class TestEmpiricalKDistribution:
 class TestParkedWalks:
     """Finished walks stay parked in the kernels' arrays until they compact.
 
-    At a live fraction of 0.0 the arrays compact only where they must, before
-    a cap check or a tile join; at 1.0 they compact on every step that
-    finishes a walk.  The replays above run at the default in between.
+    At a live fraction of 0.0 the arrays compact only before a tile join; at
+    1.0 they compact on every step that finishes or caps a walk.  The replays
+    above run at the default in between.
     """
 
     @pytest.fixture(
@@ -424,12 +436,11 @@ class TestParkedWalks:
     @pytest.mark.parametrize("max_blocks", [5, 12, 1_000_000])
     def test_catch_up_cells(self, monkeypatch, max_blocks, width):
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
-        assert_catch_up_matches_replay(CATCH_UP_CELLS, max_blocks)
+        assert_catch_up_matches_replay(monkeypatch, CATCH_UP_CELLS, max_blocks)
 
     @pytest.mark.parametrize(("q", "z", "max_blocks"), WAIT_CASES)
-    def test_k_distribution(self, q, z, max_blocks):
-        observed = empirical_k_distribution(MiningPowerSplit(q), z, 400, 29, max_blocks)
-        assert observed == scalar_k_distribution(q, z, 400, 29, max_blocks)
+    def test_k_distribution(self, monkeypatch, q, z, max_blocks):
+        assert_waits_match_replay(monkeypatch, q, z, max_blocks)
 
 
 def no_keys(*args, **kwargs):
@@ -478,23 +489,24 @@ def drop_one_live_walk(mask, live, *state):
 
 sim._keep = drop_one_live_walk
 sim._LIVE_FRACTION = {fraction}
+sim._BATCH_WALKS = {batch}
 power = MiningPowerSplit(0.45)
 sim.{call}
 """
 
 
 @pytest.mark.parametrize(
-    ("call", "fraction", "site"),
+    ("call", "fraction", "batch", "site"),
     [
-        ("empirical_k_distribution(power, 4, 2_000, 1)", 0.75, "_keep(k >= 0"),
-        ("empirical_catch_up(power, [(2, 10, 3)], 2_000)", 0.75, "_keep(d > 0"),
-        # Caps of 0 flips put a cap check before any walk finishes.
-        ("run_trials(TrialConfig(power, 2, 35, 4), 2_000, 1)", 0.0, "_keep(~spent"),
+        ("empirical_k_distribution(power, 4, 2_000, 1)", 0.75, 1 << 14, "_keep(k >= 0"),
+        ("empirical_catch_up(power, [(2, 10, 3)], 2_000)", 0.75, 1 << 14, "_keep(d > 0"),
+        # Capped walks stay parked until a 128-walk tile joins and compacts them.
+        ("run_trials(TrialConfig(power, 3, 35, 40), 2_000, 1)", 0.0, 128, "_keep(d > 0"),
     ],
-    ids=["wait", "chase", "chase-cap-check"],
+    ids=["wait", "chase", "chase-capped"],
 )
-def test_slipped_live_count_fails_instead_of_hanging(call, fraction, site):
-    script = SLIPPED_COUNT.format(call=call, fraction=fraction)
+def test_slipped_live_count_fails_instead_of_hanging(call, fraction, batch, site):
+    script = SLIPPED_COUNT.format(call=call, fraction=fraction, batch=batch)
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=30,
