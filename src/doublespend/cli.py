@@ -30,7 +30,7 @@ from .model import (
     min_confirmations,
     DEFAULT_BUDGET_SURPLUS,
 )
-from .simulate import DEFAULT_MAX_BLOCKS, TrialConfig, run_trials
+from .simulate import TrialConfig, run_trials
 from .validate import SweepGrid, run_attribution, run_validation
 
 ENV_SEED = "DOUBLESPEND_SEED"
@@ -40,12 +40,12 @@ DEFAULT_GRID_Q = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_GRID_Z = (1, 3, 6, 12, 24)
 DEFAULT_TRIALS = 100_000
 MAX_Q_RANGE_VALUES = 100_000
-# The closed-form model does O(z) work (about a second at this z); simulate's
-# flips are bounded by --max-blocks instead.
+# The closed-form model does O(z) work (about a second at this z); a
+# simulated walk stops at simulate.DEFAULT_MAX_BLOCKS flips instead.
 MAX_Z = 100_000
 # A chase walk that drifts away from the attacker runs until it falls this
-# far behind (or hits --max-blocks), so validate bounds it; prob and min-z
-# cost the same at any surplus.
+# far behind (or reaches a million flips), so validate bounds it; prob and
+# min-z cost the same at any surplus.
 MAX_SURPLUS = 100_000
 # Simulation time grows linearly in --trials: this many take minutes on the
 # slowest grid cell (q=0.4, z=24), and trial indices stay far below 2**64.
@@ -219,9 +219,8 @@ def _cmd_simulate(args) -> tuple[dict, list[Block]]:
     z = _check_range(args.z, "z", 0)
     _check_range(args.surplus, "--surplus", 1)
     _check_range(args.trials, "--trials", 1, MAX_TRIALS)
-    _check_range(args.max_blocks, "--max-blocks", 1)
     seed = _seed_from(args)
-    config = TrialConfig(power, z, args.surplus, args.max_blocks)
+    config = TrialConfig(power, z, args.surplus)
     result = run_trials(config, args.trials, seed)
     head = {
         "q": args.q,
@@ -335,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--surplus", type=int, default=DEFAULT_BUDGET_SURPLUS)
     simulate.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--max-blocks", type=int, default=DEFAULT_MAX_BLOCKS)
     simulate.add_argument(
         "--histogram", action="store_true", help="also print the k histogram"
     )

@@ -282,14 +282,13 @@ def _poisson_upper_tail(rate: float, k_from: int, term_at_k_from: float) -> floa
     return total
 
 
-def _catch_up_factor(query: AttackQuery, deficit: int, k: int) -> float:
+def _catch_up_factor(query: AttackQuery, deficit: int) -> float:
     if deficit == 0:
         # The attacker is already even with the corrected target (or ahead):
         # an immediate win in every variant, including the budgeted race.
         return 1.0
     if query.variant is Variant.BUDGETED:
-        budget = query.z + query.budget_surplus - k
-        assert budget >= 1, "unreachable: k <= z implies budget >= budget_surplus"
+        budget = deficit + query.budget_surplus - 1  # z + surplus - k
         return catch_up_limited(deficit, budget, query.power)
     return catch_up_unlimited(deficit, query.power)
 
@@ -305,7 +304,7 @@ def attack_summands(query: AttackQuery) -> list[Summand]:
     k_top = query.z if query.variant is Variant.ORIGINAL else query.z + 1
     terms = _poisson_terms(poisson_rate(query.z, query.power), k_top)
     return [
-        Summand(k, terms[k], _catch_up_factor(query, k_top - k, k))
+        Summand(k, terms[k], _catch_up_factor(query, k_top - k))
         for k in range(k_top + 1)
     ]
 
@@ -340,15 +339,20 @@ def min_confirmations(
 ) -> int | None:
     """Smallest z with attack_success(z) <= target, by ascending enumeration.
 
-    Returns None when no finite depth works: a majority attacker under the
-    original or corrected variants always succeeds, and the search gives up
-    past DEFAULT_SEARCH_CAP so it terminates near q = 0.5 where z diverges.
+    Returns None when no finite depth works.  With q >= p each catch-up term is
+    at least b/(b+d) >= 1/2 (budget b >= deficit d), so P >= 1/2 at every z.
+    With q > p, P(z) >= 1 - exp(-z c), c = r - 1 - ln r, r = q/p (Chernoff), so
+    the scan stops once that bound clears the target, or past DEFAULT_SEARCH_CAP.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
-    if variant is not Variant.BUDGETED and power.p <= power.q:
+    if power.p <= power.q and (variant is not Variant.BUDGETED or target < 0.5):
         return None
+    r = power.q / power.p
+    c = r - 1.0 - math.log(r) if r > 1.0 else 0.0  # no Chernoff stop for q <= p
     for z in range(DEFAULT_SEARCH_CAP + 1):
+        if 1.0 - math.exp(-z * c) > target + GUARD_BAND:
+            return None  # the bound only grows with z
         query = AttackQuery(power, z, variant, budget_surplus)
         if attack_success(query) <= target:
             return z

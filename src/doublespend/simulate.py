@@ -17,9 +17,10 @@ trial t's stream at draw z + k.  empirical_k_distribution is the wait alone;
 empirical_catch_up is the chase alone, for many (deficit, budget, seed) cells
 in one pass.  The kernels take walks in tiles of at most _BATCH_WALKS, so
 their per-walk arrays stay cache-resident and the working set does not grow
-with the trial count.  A finished or capped walk is recorded, then parked: it
-stays in the arrays, drawn for but never matched again, until a quarter of
-them are parked or a tile joins, and only then do they compact.
+with the trial count.  Walks are capped after DEFAULT_MAX_BLOCKS flips, read
+at call time.  A finished or capped walk is recorded, then parked: it stays
+in the arrays, drawn for but never matched again, until a quarter of them
+are parked or a tile joins, and only then do they compact.
 Trial t draws its coins from a counter-based substream keyed by
 (master_seed, t), so results are bit-identical for a given
 
@@ -32,7 +33,7 @@ only, hence order-insensitive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,23 +74,20 @@ _LIVE_FRACTION = 0.75
 class TrialConfig:
     """Parameters of one simulated race.
 
-    max_blocks is the one flip cap a caller sets: a per-trial safety cap on
-    total coin flips, which a race with any sane budget absorbs long before.
-    Capped trials are counted and reported, never dropped.
+    run_trials caps each trial at DEFAULT_MAX_BLOCKS coin flips, read at call
+    time, which a race with any sane budget absorbs long before.  Capped
+    trials are counted and reported, never dropped.
     """
 
     power: MiningPowerSplit
     z: int
     budget_surplus: int = DEFAULT_BUDGET_SURPLUS
-    max_blocks: int = DEFAULT_MAX_BLOCKS
 
     def __post_init__(self) -> None:
         if self.z < 0:
             raise ValueError("confirmation depth z must be >= 0")
         if self.budget_surplus < 1:
             raise ValueError("budget_surplus must be >= 1")
-        if self.max_blocks < 1:
-            raise ValueError("max_blocks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ class SimulationResult:
     config: TrialConfig
     trials: int
     wins: int
-    k_histogram: dict[int, int] = field(compare=True)
+    k_histogram: dict[int, int]
     master_seed: int = 0
     capped_count: int = 0
 
@@ -161,22 +159,22 @@ def _keep(keep: np.ndarray, live: int, *state):
 
 
 def _wait_phase(
-    keys: np.ndarray, threshold: np.uint64, z: int, max_blocks: int
+    keys: np.ndarray, threshold: np.uint64, z: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flip each stream's coins until its z-th honest block; returns (k, capped).
 
     k[i] counts attacker blocks before stream i's z-th honest block, so the
     wait used z + k[i] draws.  A stream still short of z honest blocks after
-    max_blocks flips is capped and keeps the k it reached; that is exactly
-    where z + k[i] > max_blocks.  A finished stream's k is recorded, then
-    parked at _PARKED, where k == step - z never holds again; the arrays
-    compact once _LIVE_FRACTION or less of them is live.
+    DEFAULT_MAX_BLOCKS flips is capped and keeps the k it reached; that is
+    exactly where z + k[i] > DEFAULT_MAX_BLOCKS.  A finished stream's k is
+    recorded, then parked at _PARKED, where k == step - z never holds again;
+    the arrays compact once _LIVE_FRACTION or less of them is live.
     """
     k_out = np.zeros(keys.size, dtype=np.int64)
     pos = np.arange(keys.size)
     k = np.zeros(keys.size, dtype=np.int64)
     live, step = keys.size, 0
-    while z > 0 and live and step < max_blocks:  # z = 0 needs no flip
+    while z > 0 and live and step < DEFAULT_MAX_BLOCKS:  # z = 0 needs no flip
         k += mix64_array(keys + np.uint64(step_offset(step))) < threshold
         step += 1
         if step >= z:
@@ -190,7 +188,7 @@ def _wait_phase(
                     keys, pos, k = _keep(k >= 0, live, keys, pos, k)
     running = k >= 0
     k_out[pos[running]] = k[running]
-    return k_out, k_out > max_blocks - z
+    return k_out, k_out > DEFAULT_MAX_BLOCKS - z
 
 
 def _join(rest, fresh):
@@ -267,9 +265,8 @@ def run_trials(config: TrialConfig, trials: int, master_seed: int) -> Simulation
     """Aggregate independent trials; deterministic in (config, trials, master_seed)."""
     _check_trials(trials)
     # No run makes _FLIP_LIMIT flips, so larger values act alike; clamped, the
-    # chase's barriers and caps fit int64.
-    limits = (config.z, config.budget_surplus, config.max_blocks)
-    z, surplus, max_blocks = (min(v, _FLIP_LIMIT) for v in limits)
+    # chase's barriers fit int64.
+    z, surplus = (min(v, _FLIP_LIMIT) for v in (config.z, config.budget_surplus))
     threshold = np.uint64(bernoulli_threshold(config.power.q))
     wins = capped = 0
     histogram: dict[int, int] = {}
@@ -278,7 +275,7 @@ def run_trials(config: TrialConfig, trials: int, master_seed: int) -> Simulation
         nonlocal wins, capped
         for start, count in _batches(trials):
             keys = trial_keys(master_seed, count, start=start)
-            k, wait_capped = _wait_phase(keys, threshold, z, max_blocks)
+            k, wait_capped = _wait_phase(keys, threshold, z)
             _fold_histogram(histogram, k)
             # A trial capped in the wait may already have k > z; it is capped, not won.
             chase = ~wait_capped & (k <= z)
@@ -290,7 +287,7 @@ def run_trials(config: TrialConfig, trials: int, master_seed: int) -> Simulation
                 advance_keys(keys[chase], z + kc),
                 z + 1 - kc,
                 2 * (z - kc) + 1 + surplus,
-                max_blocks - z - kc,
+                DEFAULT_MAX_BLOCKS - z - kc,
                 np.zeros(kc.size, dtype=np.int64),
             )
 
@@ -354,5 +351,5 @@ def empirical_k_distribution(
     histogram: dict[int, int] = {}
     for start, count in _batches(trials):
         keys = trial_keys(master_seed, count, start=start)
-        _fold_histogram(histogram, _wait_phase(keys, threshold, z, DEFAULT_MAX_BLOCKS)[0])
+        _fold_histogram(histogram, _wait_phase(keys, threshold, z)[0])
     return {kk: n / trials for kk, n in sorted(histogram.items())}

@@ -60,13 +60,16 @@ class TrialRecord:
             raise ValueError("a capped trial cannot be a win")
 
 
-def simulate_trial(stream: TrialStream, config) -> TrialRecord:
-    """Play one race of config (a TrialConfig) on stream, one flip at a time."""
+def simulate_trial(stream: TrialStream, config, max_blocks: int) -> TrialRecord:
+    """Play one race of config (a TrialConfig) on stream, one flip at a time.
+
+    A trial still running after max_blocks flips is capped.
+    """
     z, surplus = config.z, config.budget_surplus
     threshold = min(int(config.power.q * 2.0**64), _MASK64)
     h = k = draws = 0
     while h < z:
-        if draws == config.max_blocks:
+        if draws == max_blocks:
             return TrialRecord(k, False, draws, True)
         if stream.next_bernoulli(threshold):
             k += 1
@@ -83,7 +86,7 @@ def simulate_trial(stream: TrialStream, config) -> TrialRecord:
             return TrialRecord(k, True, draws, False)
         if d == loss_at:
             return TrialRecord(k, False, draws, False)
-        if draws == config.max_blocks:
+        if draws == max_blocks:
             return TrialRecord(k, False, draws, True)
         d += -1 if stream.next_bernoulli(threshold) else 1
         draws += 1

@@ -23,7 +23,7 @@ PUBLIC_API = {
     "SweepGrid": (
         "q_values", "z_values", "variant", "budget_surplus", "trials", "master_seed",
     ),
-    "TrialConfig": ("power", "z", "budget_surplus", "max_blocks"),
+    "TrialConfig": ("power", "z", "budget_surplus"),
     "ValidationRow": (
         "q", "z", "model_prob", "sim_prob", "sim_std_err", "abs_error", "rel_error",
         "trials",

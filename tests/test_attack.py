@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -33,6 +34,12 @@ WHITEPAPER_TABLE = {
 
 def success(q, z, variant, surplus=35):
     return attack_success(AttackQuery(MiningPowerSplit(q), z, variant, surplus))
+
+
+def chernoff_rate(q):
+    """c = r - 1 - ln r with r = q/p: P(z) >= 1 - exp(-z c) when q > p."""
+    r = q / (1.0 - q)
+    return r - 1.0 - math.log(r)
 
 
 class TestSummands:
@@ -171,3 +178,50 @@ class TestMinConfirmations:
         for target in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 min_confirmations(MiningPowerSplit(0.3), target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.floats(min_value=0.5, max_value=0.99),
+        z=st.integers(min_value=0, max_value=150),
+        surplus=st.integers(min_value=1, max_value=2_000),
+    )
+    def test_budgeted_majority_bounds_that_stop_the_search(self, q, z, surplus):
+        # The 1/2 floor for q >= p, and the Chernoff bound for q > p.
+        p = success(q, z, Variant.BUDGETED, surplus)
+        assert p >= 0.5 - 1e-12
+        if q > 0.5:
+            assert p >= 1.0 - math.exp(-z * chernoff_rate(q)) - 1e-12
+
+    def test_the_half_floor_is_reached(self):
+        # P = 1/2 exactly at (q=0.5, surplus 1, z=0), so a target of 1/2 scans.
+        assert success(0.5, 0, Variant.BUDGETED, 1) == 0.5
+        assert min_confirmations(MiningPowerSplit(0.5), 0.5, Variant.BUDGETED, 1) == 0
+
+    @pytest.mark.parametrize("q", [0.6, 0.7, 0.9])
+    @pytest.mark.parametrize("surplus", [1, 35, 1000])
+    def test_stopped_search_equals_a_longer_scan(self, monkeypatch, q, surplus):
+        c = chernoff_rate(q)
+        depths = []
+
+        def logged(query):
+            depths.append(query.z)
+            return attack_success(query)
+
+        monkeypatch.setattr(model_module, "attack_success", logged)
+        for target in (0.1, 0.5, 0.9, 0.999):
+            stop = next(
+                z for z in itertools.count()
+                if 1.0 - math.exp(-z * c) > target + model_module.GUARD_BAND
+            )
+            scan = next(
+                (z for z in range(3 * stop + 3)
+                 if success(q, z, Variant.BUDGETED, surplus) <= target),
+                None,
+            )
+            depths.clear()
+            power = MiningPowerSplit(q)
+            assert min_confirmations(power, target, Variant.BUDGETED, surplus) == scan
+            # Below 1/2 nothing is evaluated; otherwise z = 0.. up to the answer
+            # or, when there is none, up to the stop.
+            last = -1 if target < 0.5 else stop - 1 if scan is None else scan
+            assert depths == list(range(last + 1))

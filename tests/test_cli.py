@@ -443,6 +443,30 @@ def test_trials_past_the_limit_exit_2_quickly(command, trials):
     assert f"--trials must be <= {MAX_TRIALS}" in proc.stderr
 
 
+def test_simulate_has_no_flip_cap_flag():
+    # Every simulated walk stops at a million flips; no flag can raise that to
+    # the 10**18 this argv asks for.
+    proc = run_module(
+        "simulate", "--q", "1e-9", "--z", str(10**20), "--trials", "1",
+        "--max-blocks", str(10**18), timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --max-blocks" in proc.stderr
+    assert "--max-blocks" not in run_module("simulate", "--help").stdout
+
+
+@pytest.mark.parametrize("target", ["0.5", "0.1"])
+def test_min_z_for_a_majority_attacker_stops_quickly(target):
+    # The 1/2 floor answers 0.1 at once and the Chernoff stop ends the scan for
+    # 0.5 at z = 8, far below the 10,000 cap.
+    proc = run_module(
+        "min-z", "--q", "0.6", "--variant", "budgeted", "--target", target, timeout=30
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1] == f"0.6,{target},budgeted,35,inf"
+
+
 def test_min_z_checks_every_q_before_searching():
     # The search at q=0.499 alone takes minutes; 1.5 must be rejected first.
     proc = run_module("min-z", "--q", "0.499,1.5", "--target", "0.001", timeout=30)

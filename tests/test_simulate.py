@@ -33,9 +33,14 @@ def three_sigma(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+def play(seed, t, config):
+    """Trial t of seed replayed by the oracle, at the flip cap run_trials reads."""
+    return simulate_trial(TrialStream(seed, t), config, simulate_module.DEFAULT_MAX_BLOCKS)
+
+
 def replay(config, trials, seed):
     """simulate_trial over trials 0..trials-1: (wins, k histogram, records)."""
-    records = [simulate_trial(TrialStream(seed, t), config) for t in range(trials)]
+    records = [play(seed, t, config) for t in range(trials)]
     histogram: dict[int, int] = {}
     for rec in records:
         histogram[rec.k_during_wait] = histogram.get(rec.k_during_wait, 0) + 1
@@ -112,7 +117,7 @@ def scalar_catch_up(q, deficit, budget, trials, seed, max_blocks):
 
 
 def set_flip_cap(monkeypatch, max_blocks):
-    """Cap empirical_catch_up and empirical_k_distribution walks at max_blocks flips."""
+    """Cap every simulated walk (run_trials and the empirical helpers) at max_blocks."""
     monkeypatch.setattr(simulate_module, "DEFAULT_MAX_BLOCKS", max_blocks)
 
 
@@ -146,26 +151,26 @@ class TestSingleTrial:
     def test_record_fields_are_consistent(self):
         config = TrialConfig(MiningPowerSplit(0.3), 3)
         for t in range(200):
-            rec = simulate_trial(TrialStream(5, t), config)
+            rec = play(5, t, config)
             assert rec.k_during_wait >= 0
             assert rec.blocks_elapsed >= config.z
             assert not (rec.attacker_won and rec.capped)
 
     def test_replay_is_identical(self):
         config = TrialConfig(MiningPowerSplit(0.25), 4)
-        first = [simulate_trial(TrialStream(11, t), config) for t in range(100)]
-        second = [simulate_trial(TrialStream(11, t), config) for t in range(100)]
+        first = [play(11, t, config) for t in range(100)]
+        second = [play(11, t, config) for t in range(100)]
         assert first == second
 
     def test_zero_depth_skips_the_wait(self):
         config = TrialConfig(MiningPowerSplit(0.4), 0, budget_surplus=3)
-        rec = simulate_trial(TrialStream(3, 0), config)
+        rec = play(3, 0, config)
         assert rec.k_during_wait == 0
         assert rec.blocks_elapsed >= 1
 
-    def test_tiny_cap_records_capped_trials(self):
-        config = TrialConfig(MiningPowerSplit(0.5), 50, max_blocks=10)
-        rec = simulate_trial(TrialStream(1, 0), config)
+    def test_tiny_cap_records_capped_trials(self, monkeypatch):
+        set_flip_cap(monkeypatch, 10)
+        rec = play(1, 0, TrialConfig(MiningPowerSplit(0.5), 50))
         assert rec.capped and not rec.attacker_won
         assert rec.blocks_elapsed == 10
 
@@ -185,8 +190,11 @@ class TestRunTrials:
         assert not any(rec.capped for rec in records)
 
     @pytest.mark.parametrize(("q", "z", "surplus", "max_blocks", "kinds"), BLOCK_CAP_CASES)
-    def test_matches_scalar_engine_at_block_cap(self, q, z, surplus, max_blocks, kinds):
-        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
+    def test_matches_scalar_engine_at_block_cap(
+        self, monkeypatch, q, z, surplus, max_blocks, kinds
+    ):
+        set_flip_cap(monkeypatch, max_blocks)
+        config = TrialConfig(MiningPowerSplit(q), z, surplus)
         records = assert_matches_replay(config, 2_000, 41)
         assert kinds <= cap_kinds(records, z, max_blocks)
 
@@ -196,23 +204,23 @@ class TestRunTrials:
     ):
         carried = counting_joins(monkeypatch)
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
-        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
-        assert_matches_replay(config, 2_000, 43)
+        set_flip_cap(monkeypatch, max_blocks)
+        assert_matches_replay(TrialConfig(MiningPowerSplit(q), z, surplus), 2_000, 43)
         assert max(carried) > 0  # some walks rode on into a later tile
 
     @pytest.mark.parametrize(
         ("z", "surplus", "max_blocks", "same_as"),
         [
-            (4, 35, 2**70, (4, 35, 1_000_000)),
-            (4, 2**70, 1_000, (4, 10**6, 1_000)),
-            (2**64, 35, 12, (10**6, 35, 12)),
+            (4, 2**70, 1_000, (4, 10**6)),
+            (2**64, 35, 12, (10**6, 35)),
         ],
     )
     def test_values_beyond_int64_act_as_unreachable(
-        self, z, surplus, max_blocks, same_as
+        self, monkeypatch, z, surplus, max_blocks, same_as
     ):
         power = MiningPowerSplit(0.45)
-        huge = run_trials(TrialConfig(power, z, surplus, max_blocks), 5_000, 8)
+        set_flip_cap(monkeypatch, max_blocks)
+        huge = run_trials(TrialConfig(power, z, surplus), 5_000, 8)
         plain = run_trials(TrialConfig(power, *same_as), 5_000, 8)
         assert (huge.wins, huge.k_histogram, huge.capped_count) == (
             plain.wins,
@@ -419,8 +427,9 @@ class TestParkedWalks:
         monkeypatch.setattr(simulate_module, "_LIVE_FRACTION", request.param)
 
     @pytest.mark.parametrize(("q", "z", "surplus", "max_blocks", "kinds"), BLOCK_CAP_CASES)
-    def test_run_trials_at_block_cap(self, q, z, surplus, max_blocks, kinds):
-        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
+    def test_run_trials_at_block_cap(self, monkeypatch, q, z, surplus, max_blocks, kinds):
+        set_flip_cap(monkeypatch, max_blocks)
+        config = TrialConfig(MiningPowerSplit(q), z, surplus)
         records = assert_matches_replay(config, 2_000, 41)
         assert kinds <= cap_kinds(records, z, max_blocks)
 
@@ -428,8 +437,8 @@ class TestParkedWalks:
     def test_run_trials_with_walks_carried(self, monkeypatch, q, z, surplus, max_blocks):
         carried = counting_joins(monkeypatch)
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
-        config = TrialConfig(MiningPowerSplit(q), z, surplus, max_blocks)
-        assert_matches_replay(config, 2_000, 43)
+        set_flip_cap(monkeypatch, max_blocks)
+        assert_matches_replay(TrialConfig(MiningPowerSplit(q), z, surplus), 2_000, 43)
         assert max(carried) > 0
 
     @pytest.mark.parametrize("width", [1 << 14, 64])
@@ -490,23 +499,26 @@ def drop_one_live_walk(mask, live, *state):
 sim._keep = drop_one_live_walk
 sim._LIVE_FRACTION = {fraction}
 sim._BATCH_WALKS = {batch}
+sim.DEFAULT_MAX_BLOCKS = {cap}
 power = MiningPowerSplit(0.45)
 sim.{call}
 """
 
 
 @pytest.mark.parametrize(
-    ("call", "fraction", "batch", "site"),
+    ("call", "fraction", "batch", "cap", "site"),
     [
-        ("empirical_k_distribution(power, 4, 2_000, 1)", 0.75, 1 << 14, "_keep(k >= 0"),
-        ("empirical_catch_up(power, [(2, 10, 3)], 2_000)", 0.75, 1 << 14, "_keep(d > 0"),
+        ("empirical_k_distribution(power, 4, 2_000, 1)", 0.75, 1 << 14, 10**6,
+         "_keep(k >= 0"),
+        ("empirical_catch_up(power, [(2, 10, 3)], 2_000)", 0.75, 1 << 14, 10**6,
+         "_keep(d > 0"),
         # Capped walks stay parked until a 128-walk tile joins and compacts them.
-        ("run_trials(TrialConfig(power, 3, 35, 40), 2_000, 1)", 0.0, 128, "_keep(d > 0"),
+        ("run_trials(TrialConfig(power, 3, 35), 2_000, 1)", 0.0, 128, 40, "_keep(d > 0"),
     ],
     ids=["wait", "chase", "chase-capped"],
 )
-def test_slipped_live_count_fails_instead_of_hanging(call, fraction, batch, site):
-    script = SLIPPED_COUNT.format(call=call, fraction=fraction, batch=batch)
+def test_slipped_live_count_fails_instead_of_hanging(call, fraction, batch, cap, site):
+    script = SLIPPED_COUNT.format(call=call, fraction=fraction, batch=batch, cap=cap)
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=30,
