@@ -68,7 +68,7 @@ def step_offset(draw_index: int) -> int:
 def advance_keys(keys: np.ndarray, draws) -> np.ndarray:
     """Keys whose draw j is draw j + draws[i] of stream keys[i] (wrapping).
 
-    draws is an array with one count per key or one count for all keys.
+    draws broadcasts against keys: per key, for all keys, or a column of counts.
     """
     return keys + np.asarray(draws, dtype=np.uint64) * np.uint64(_GOLDEN)
 

@@ -20,7 +20,9 @@ their per-walk arrays stay cache-resident and the working set does not grow
 with the trial count.  Walks are capped after DEFAULT_MAX_BLOCKS flips, read
 at call time.  A finished or capped walk is recorded, then parked: it stays
 in the arrays, drawn for but never matched again, until a quarter of them
-are parked or a tile joins, and only then do they compact.
+are parked or a tile joins, and only then do they compact.  Once few walks
+are left, a kernel draws a block of flips per walk in one call and finds
+each walk's absorbing flip in their cumulative sums; later draws are wasted.
 Trial t draws its coins from a counter-based substream keyed by
 (master_seed, t), so results are bit-identical for a given
 
@@ -150,6 +152,17 @@ def _fold_histogram(histogram: dict[int, int], k: np.ndarray) -> None:
             histogram[kk] = histogram.get(kk, 0) + int(n)
 
 
+def _block_rows(walks: int) -> int:
+    """Flips per walk in a tail block, which holds no more draws than a tile."""
+    return _BATCH_WALKS // walks
+
+
+def _attacker_counts(keys: np.ndarray, threshold: np.uint64, step: int, rows: int):
+    """(rows, walks) attacker-block counts over each stream's draws step..step + j."""
+    draws = advance_keys(keys, np.arange(step + 1, step + rows + 1)[:, None])
+    return np.cumsum(mix64_array(draws) < threshold, axis=0)
+
+
 def _keep(keep: np.ndarray, live: int, *state):
     """Per-walk arrays compacted to keep; a slipped live count fails, not spins."""
     state = [x[keep] for x in state]
@@ -168,24 +181,36 @@ def _wait_phase(
     DEFAULT_MAX_BLOCKS flips is capped and keeps the k it reached; that is
     exactly where z + k[i] > DEFAULT_MAX_BLOCKS.  A finished stream's k is
     recorded, then parked at _PARKED, where k == step - z never holds again;
-    the arrays compact once _LIVE_FRACTION or less of them is live.
+    the arrays compact once _LIVE_FRACTION or less of them is live.  With
+    _BATCH_WALKS // 16 or fewer live, each loop draws a block of flips for
+    every stream in the tile, clipped to the cap, and finds each z-th honest one.
     """
     k_out = np.zeros(keys.size, dtype=np.int64)
     pos = np.arange(keys.size)
     k = np.zeros(keys.size, dtype=np.int64)
     live, step = keys.size, 0
     while z > 0 and live and step < DEFAULT_MAX_BLOCKS:  # z = 0 needs no flip
-        k += mix64_array(keys + np.uint64(step_offset(step))) < threshold
-        step += 1
-        if step >= z:
+        if live > _BATCH_WALKS // 16:
+            k += mix64_array(keys + np.uint64(step_offset(step))) < threshold
+            step += 1
+            if step < z:
+                continue
             done = k == step - z  # step - k honest blocks so far
-            n_done = np.count_nonzero(done)
-            if n_done:
-                k_out[pos[done]] = k[done]
-                k[done] = _PARKED
-                live -= n_done
-                if live <= _LIVE_FRACTION * k.size:
-                    keys, pos, k = _keep(k >= 0, live, keys, pos, k)
+        else:
+            rows = min(_block_rows(k.size), DEFAULT_MAX_BLOCKS - step)
+            ks = k + _attacker_counts(keys, threshold, step, rows)
+            at_z = ks == np.arange(step + 1 - z, step + rows + 1 - z)[:, None]
+            step += rows
+            first, cols = at_z.argmax(axis=0), np.arange(k.size)
+            done = at_z[first, cols]
+            k = np.where(done, ks[first, cols], ks[-1])
+        n_done = np.count_nonzero(done)
+        if n_done:
+            k_out[pos[done]] = k[done]
+            k[done] = _PARKED
+            live -= n_done
+            if live <= _LIVE_FRACTION * k.size:
+                keys, pos, k = _keep(k >= 0, live, keys, pos, k)
     running = k >= 0
     k_out[pos[running]] = k[running]
     return k_out, k_out > DEFAULT_MAX_BLOCKS - z
@@ -213,8 +238,10 @@ def _chase_phase(
     the next tile instead of holding one to themselves.  A walk that wins,
     loses or spends its cap has its deficit parked at _PARKED, below any
     barrier; the arrays compact lazily, once _LIVE_FRACTION or less of them
-    is live, or before a join, so a join carries live walks only.  Returns
-    (wins per cell, capped walks).
+    is live, or before a join, so a join carries live walks only.  With no
+    tile left and _BATCH_WALKS // 16 or fewer live, the arrays compact and each
+    loop walks a block of flips that ends by the next cap.  Returns (wins per
+    cell, capped walks).
     """
     tiles = iter(tiles)
     keys = np.empty(0, dtype=np.uint64)
@@ -225,7 +252,8 @@ def _chase_phase(
     more = True
     while live or more:
         joining = more and live <= _BATCH_WALKS // 8
-        if live < keys.size and (joining or live <= _LIVE_FRACTION * keys.size):
+        blocking = not more and live <= _BATCH_WALKS // 16
+        if live < keys.size and (joining or blocking or live <= _LIVE_FRACTION * keys.size):
             keys, d, loss_at, cap, cell = _keep(d > 0, live, keys, d, loss_at, cap, cell)
         if joining:
             fresh = next(tiles, None)
@@ -246,11 +274,20 @@ def _chase_phase(
             d[spent] = _PARKED
             cap_floor = np.min(cap, where=running & ~spent, initial=_FLIP_LIMIT)
             continue
-        attacker = mix64_array(keys + np.uint64(step_offset(step))) < threshold
-        d -= attacker  # in place, as -2 * attacker + 1 would allocate twice
-        d -= attacker
-        d += 1
-        step += 1
+        if blocking:
+            rows = min(_block_rows(live), cap_floor - step)
+            walk = d + np.arange(1, rows + 1)[:, None]
+            walk -= 2 * _attacker_counts(keys, threshold, step, rows)
+            ends = (walk == 0) | (walk == loss_at)
+            ends[-1] = True  # a walk not absorbed in the block stops at its end
+            d = walk[ends.argmax(axis=0), np.arange(live)]
+        else:
+            attacker = mix64_array(keys + np.uint64(step_offset(step))) < threshold
+            d -= attacker  # in place, as -2 * attacker + 1 would allocate twice
+            d -= attacker
+            d += 1
+            rows = 1
+        step += rows
         caught = d == 0
         finished = caught | (d == loss_at)
         n_finished = np.count_nonzero(finished)

@@ -467,6 +467,33 @@ def test_min_z_for_a_majority_attacker_stops_quickly(target):
     assert proc.stdout.splitlines()[1] == f"0.6,{target},budgeted,35,inf"
 
 
+@pytest.mark.parametrize(
+    ("argv", "last_line"),
+    [
+        (
+            "validate --q-values 0.49 --z-values 2 --trials 100 --surplus 100000",
+            "0.49,2,budgeted,100000,100,20090103,0.9512197480004156,0.92,"
+            "0.027129319932501065,0.031219748000415604,0.03393450869610391",
+        ),
+        (
+            f"simulate --q 1e-9 --z {10**20} --trials 50 --seed 1",
+            f"1e-09,{10**20},35,50,0,0.0,0.0,0.0,50,1",
+        ),
+        (
+            f"simulate --q 0.3 --z 100001 --trials 50 --seed 1 --surplus {10**20}",
+            f"0.3,100001,{10**20},50,0,0.0,0.0,42821.44,50,1",
+        ),
+    ],
+    ids=["near-fair-chase", "endless-wait", "drifting-chase"],
+)
+def test_walks_that_run_to_the_flip_cap_finish_quickly(argv, last_line):
+    # Every trial here has walks that run to the million-flip cap, which took
+    # 14-23 s when each flip was its own numpy step.
+    proc = run_module(*argv.split(), timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == last_line
+
+
 def test_min_z_checks_every_q_before_searching():
     # The search at q=0.499 alone takes minutes; 1.5 must be rejected first.
     proc = run_module("min-z", "--q", "0.499,1.5", "--target", "0.001", timeout=30)

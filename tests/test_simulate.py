@@ -415,9 +415,9 @@ class TestEmpiricalKDistribution:
 class TestParkedWalks:
     """Finished walks stay parked in the kernels' arrays until they compact.
 
-    At a live fraction of 0.0 the arrays compact only before a tile join; at
-    1.0 they compact on every step that finishes or caps a walk.  The replays
-    above run at the default in between.
+    At a live fraction of 0.0 the arrays compact only before a tile join or
+    a chase tail block; at 1.0 they compact on every step that finishes or
+    caps a walk.  The replays above run at the default in between.
     """
 
     @pytest.fixture(
@@ -450,6 +450,79 @@ class TestParkedWalks:
     @pytest.mark.parametrize(("q", "z", "max_blocks"), WAIT_CASES)
     def test_k_distribution(self, monkeypatch, q, z, max_blocks):
         assert_waits_match_replay(monkeypatch, q, z, max_blocks)
+
+
+# (q, z, surplus, max_blocks): every one caps walks in the wait and in the chase
+# and finishes some on their last allowed flip
+TAIL_CAP_CASES = [(0.5, 2, 1, 5), (0.5, 5, 3, 12), (0.5, 10, 35, 40)]
+
+
+class TestBlockedTail:
+    """Once few walks are left, the kernels draw a block of flips per walk at once.
+
+    Each test runs with the block width forced to 1 and 3 flips, and at its
+    default, and logs every block as (flips, walks).
+    """
+
+    @pytest.fixture(
+        autouse=True, params=[1, 3, None], ids=["width-1", "width-3", "width-default"]
+    )
+    def blocks(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(simulate_module, "_block_rows", lambda walks: request.param)
+        log = []
+        counts = simulate_module._attacker_counts
+
+        def logged_counts(keys, threshold, step, rows):
+            log.append((rows, keys.size))
+            return counts(keys, threshold, step, rows)
+
+        monkeypatch.setattr(simulate_module, "_attacker_counts", logged_counts)
+        return log
+
+    @staticmethod
+    def clipped(blocks):
+        """Blocks cut short by a flip cap."""
+        return [(rows, n) for rows, n in blocks if rows < simulate_module._block_rows(n)]
+
+    @pytest.mark.parametrize(("q", "z", "surplus", "max_blocks"), TAIL_CAP_CASES)
+    def test_run_trials_at_flip_cap(self, monkeypatch, blocks, q, z, surplus, max_blocks):
+        set_flip_cap(monkeypatch, max_blocks)
+        records = assert_matches_replay(TrialConfig(MiningPowerSplit(q), z, surplus), 2_000, 41)
+        assert {"wait", "wait_past_z", "chase", "last"} <= cap_kinds(records, z, max_blocks)
+        assert blocks
+        if simulate_module._block_rows(1) > 1:
+            assert self.clipped(blocks)  # some block straddled the cap
+
+    @pytest.mark.parametrize(("surplus", "max_blocks"), [(3, 40), (20, 1_000_000)])
+    def test_run_trials_without_a_wait(self, monkeypatch, blocks, surplus, max_blocks):
+        set_flip_cap(monkeypatch, max_blocks)
+        assert_matches_replay(TrialConfig(MiningPowerSplit(0.45), 0, surplus), 2_000, 42)
+        assert blocks
+
+    @pytest.mark.parametrize(
+        ("q", "z", "surplus", "max_blocks"), [*CARRY_CASES[::2], (0.45, 0, 20, 400)]
+    )
+    def test_run_trials_with_walks_carried(
+        self, monkeypatch, blocks, q, z, surplus, max_blocks
+    ):
+        carried = counting_joins(monkeypatch)
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        set_flip_cap(monkeypatch, max_blocks)
+        assert_matches_replay(TrialConfig(MiningPowerSplit(q), z, surplus), 2_000, 43)
+        assert max(carried) > 0 and blocks
+
+    @pytest.mark.parametrize("max_blocks", [12, 40, 1_000_000])
+    def test_catch_up_cells(self, monkeypatch, blocks, max_blocks):
+        assert_catch_up_matches_replay(monkeypatch, CATCH_UP_CELLS, max_blocks)
+        assert blocks
+        if max_blocks < 100 and simulate_module._block_rows(1) == simulate_module._BATCH_WALKS:
+            assert self.clipped(blocks)  # at the default width a chase block met the cap
+
+    @pytest.mark.parametrize(("q", "z", "max_blocks"), WAIT_CASES)
+    def test_k_distribution(self, monkeypatch, blocks, q, z, max_blocks):
+        assert_waits_match_replay(monkeypatch, q, z, max_blocks)
+        assert blocks
 
 
 def no_keys(*args, **kwargs):
@@ -548,3 +621,9 @@ class TestWorkingSet:
         cells = [(25 - k, 59 - k, 100 + k) for k in range(25)]
         power = MiningPowerSplit(0.2)
         assert traced_peak_mib(lambda: empirical_catch_up(power, cells, 20_000)) < 4.0
+
+    def test_tail_blocks_stay_small(self):
+        # The 12 of 100 walks that do not win drift to the million-flip cap,
+        # so tail blocks of up to a tile's worth of draws do nearly all the work.
+        power = MiningPowerSplit(0.49)
+        assert traced_peak_mib(lambda: empirical_catch_up(power, [(2, 100001, 5)], 100)) < 4.0
