@@ -14,68 +14,12 @@ confirmations, how likely is a double-spend to succeed?
 * :mod:`doublespend.cli` exposes everything as subcommands emitting CSV/JSON.
 """
 
-from .model import (
-    AttackQuery,
-    MiningPowerSplit,
-    ProbabilityRangeError,
-    RuinGameSpec,
-    Summand,
-    Variant,
-    attack_success,
-    attack_summands,
-    catch_up_limited,
-    catch_up_unlimited,
-    min_confirmations,
-    poisson_pmf,
-    poisson_rate,
-    ruin_win_probability,
-)
+from . import model, simulate, validate
+from .model import *  # noqa: F403
 from .rng import derive_seed
-from .simulate import (
-    SimulationResult,
-    TrialConfig,
-    empirical_catch_up,
-    empirical_k_distribution,
-    run_trials,
-)
-from .validate import (
-    AttributionReport,
-    ComparisonRow,
-    SweepGrid,
-    ValidationRow,
-    component_attribution,
-    run_attribution,
-    run_validation,
-)
+from .simulate import *  # noqa: F403
+from .validate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackQuery",
-    "AttributionReport",
-    "ComparisonRow",
-    "MiningPowerSplit",
-    "ProbabilityRangeError",
-    "RuinGameSpec",
-    "SimulationResult",
-    "Summand",
-    "SweepGrid",
-    "TrialConfig",
-    "ValidationRow",
-    "Variant",
-    "attack_success",
-    "attack_summands",
-    "catch_up_limited",
-    "catch_up_unlimited",
-    "component_attribution",
-    "derive_seed",
-    "empirical_catch_up",
-    "empirical_k_distribution",
-    "min_confirmations",
-    "poisson_pmf",
-    "poisson_rate",
-    "ruin_win_probability",
-    "run_attribution",
-    "run_trials",
-    "run_validation",
-]
+__all__ = [*model.__all__, *simulate.__all__, *validate.__all__, "derive_seed"]

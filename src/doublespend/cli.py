@@ -7,14 +7,15 @@ this module only parses flags, dispatches, and formats.  Each handler
 returns a head dict and a list of Blocks, which _render writes as CSV or JSON.
 
 The default seed for simulate/validate is 20090103, overridable with the
-DOUBLESPEND_SEED environment variable (read once at startup).  Seeds lie in
-[0, 2**64).  Identical flags plus an identical seed always produce
-byte-identical output.
+DOUBLESPEND_SEED environment variable, read on each simulate or validate call
+(prob and min-z ignore it).  Seeds lie in [0, 2**64).  Identical flags plus an
+identical seed always produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,13 +23,8 @@ import sys
 from typing import NamedTuple
 
 from .model import (
-    AttackQuery,
-    MiningPowerSplit,
-    Variant,
-    attack_success,
-    attack_summands,
-    min_confirmations,
-    DEFAULT_BUDGET_SURPLUS,
+    DEFAULT_BUDGET_SURPLUS, AttackQuery, MiningPowerSplit, Variant, attack_success,
+    attack_summands, min_confirmations,
 )
 from .simulate import TrialConfig, run_trials
 from .validate import SweepGrid, run_attribution, run_validation
@@ -36,8 +32,6 @@ from .validate import SweepGrid, run_attribution, run_validation
 ENV_SEED = "DOUBLESPEND_SEED"
 DEFAULT_SEED = 20090103
 DEFAULT_TARGETS = (0.001, 0.01, 0.1, 0.5)
-DEFAULT_GRID_Q = (0.1, 0.2, 0.3, 0.4)
-DEFAULT_GRID_Z = (1, 3, 6, 12, 24)
 DEFAULT_TRIALS = 100_000
 MAX_Q_RANGE_VALUES = 100_000
 # The closed-form model does O(z) work (about a second at this z); a
@@ -153,16 +147,21 @@ def _check_range(value: int, name: str, low: int, high: int | None = None) -> in
     return value
 
 
-def _check_seed(seed: int, source: str) -> int:
+def _seed(args) -> int:
+    """--seed, else DOUBLESPEND_SEED as set at this call, else DEFAULT_SEED."""
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        raw = os.environ.get(ENV_SEED)
+        if raw is None:
+            return DEFAULT_SEED
+        try:
+            seed, source = int(raw), ENV_SEED
+        except ValueError:
+            raise UsageError(f"{ENV_SEED} must be an integer, got {raw!r}")
     if not 0 <= seed < 2**64:
         raise UsageError(f"{source} must be in [0, 2**64), got {seed}")
     return seed
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return _check_seed(args.seed, "--seed")
-    return args.default_seed
 
 
 def _cmd_prob(args) -> tuple[dict, list[Block]]:
@@ -189,12 +188,8 @@ def _cmd_prob(args) -> tuple[dict, list[Block]]:
 def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     if (args.q is None) == (args.q_range is None):
         raise UsageError("min-z needs exactly one of --q or --q-range")
-    q_values = (
-        _parse_list(args.q, "--q") if args.q else _parse_q_range(args.q_range)
-    )
-    targets = _parse_list(args.target, "--target") if args.target else list(
-        DEFAULT_TARGETS
-    )
+    q_values = _parse_list(args.q, "--q") if args.q else _parse_q_range(args.q_range)
+    targets = _parse_list(args.target, "--target") if args.target else DEFAULT_TARGETS
     for t in targets:
         if not 0.0 < t < 1.0:
             raise UsageError(f"targets must be in (0, 1), got {t!r}")
@@ -202,11 +197,8 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     variant = Variant(args.variant)
     head = {"variant": variant.value, "budget_surplus": args.surplus}
     rows = [
-        {
-            "q": power.q,
-            "target": target,
-            "min_z": min_confirmations(power, target, variant, args.surplus),
-        }
+        {"q": power.q, "target": target,
+         "min_z": min_confirmations(power, target, variant, args.surplus)}
         for power in powers
         for target in targets
     ]
@@ -219,9 +211,8 @@ def _cmd_simulate(args) -> tuple[dict, list[Block]]:
     z = _check_range(args.z, "z", 0)
     _check_range(args.surplus, "--surplus", 1)
     _check_range(args.trials, "--trials", 1, MAX_TRIALS)
-    seed = _seed_from(args)
-    config = TrialConfig(power, z, args.surplus)
-    result = run_trials(config, args.trials, seed)
+    seed = _seed(args)
+    result = run_trials(TrialConfig(power, z, args.surplus), args.trials, seed)
     head = {
         "q": args.q,
         "z": z,
@@ -255,7 +246,7 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     z_values = _parse_list(args.z_values, "--z-values", int)
     _check_range(args.trials, "--trials", 1, MAX_TRIALS)
     _check_range(args.surplus, "--surplus", 1, MAX_SURPLUS)
-    seed = _seed_from(args)
+    seed = _seed(args)
     variant = Variant(args.variant)
     grid = SweepGrid(
         q_values=tuple(q_values),
@@ -289,103 +280,94 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     return head, blocks
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+# Every flag's settings, declared once; each subcommand lists those it takes.
+_FLAGS = {
+    "--q": dict(type=float, required=True),
+    "--z": dict(type=int, required=True),
+    "--q-range": dict(help="START:STOP:STEP sweep"),
+    "--target": dict(
+        help=f"comma-separated targets (default {','.join(map(str, DEFAULT_TARGETS))})"
+    ),
+    "--q-values": dict(default="0.1,0.2,0.3,0.4"),
+    "--z-values": dict(default="1,3,6,12,24"),
+    "--variant": dict(
+        choices=[v.value for v in Variant], default=Variant.CORRECTED.value
+    ),
+    "--surplus": dict(type=int, default=DEFAULT_BUDGET_SURPLUS),
+    "--trials": dict(type=int, default=DEFAULT_TRIALS),
+    "--seed": dict(type=int),
+    "--summands": dict(action="store_true", help="also print the per-k terms"),
+    "--histogram": dict(action="store_true", help="also print the k histogram"),
+    "--attribution": dict(
+        action="store_true",
+        help="also print per-component error attribution for every cell",
+    ),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(help="output path (default: stdout)"),
+}
+
+# Each subcommand's help, parser defaults (its handler among them) and flags in
+# --help order, before --format and --out.  min-z's --q, a list of powers, is
+# a (name, settings) pair of its own.
+_COMMANDS = {
+    "prob": (
+        "attack success probability at one (q, z)",
+        dict(handler=_cmd_prob),
+        ("--q", "--z", "--variant", "--surplus", "--summands"),
+    ),
+    "min-z": (
+        "minimum confirmations for target success probabilities",
+        dict(handler=_cmd_min_z),
+        (("--q", dict(help="comma-separated attacker powers")), "--q-range",
+         "--target", "--variant", "--surplus"),
+    ),
+    "simulate": (
+        "Monte Carlo race at one (q, z)",
+        dict(handler=_cmd_simulate),
+        ("--q", "--z", "--surplus", "--trials", "--seed", "--histogram"),
+    ),
+    "validate": (
+        "model-vs-simulation sweep",
+        dict(handler=_cmd_validate, variant=Variant.BUDGETED.value),
+        ("--q-values", "--z-values", "--variant", "--surplus", "--trials", "--seed",
+         "--attribution"),
+    ),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="doublespend",
         description="Double-spend attack probabilities: model, simulator, validation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    variants = [v.value for v in Variant]
-
-    prob = sub.add_parser("prob", help="attack success probability at one (q, z)")
-    prob.add_argument("--q", type=float, required=True)
-    prob.add_argument("--z", type=int, required=True)
-    prob.add_argument("--variant", choices=variants, default=Variant.CORRECTED.value)
-    prob.add_argument("--surplus", type=int, default=DEFAULT_BUDGET_SURPLUS)
-    prob.add_argument(
-        "--summands", action="store_true", help="also print the per-k terms"
-    )
-    _add_output_flags(prob)
-    prob.set_defaults(handler=_cmd_prob)
-
-    min_z = sub.add_parser(
-        "min-z", help="minimum confirmations for target success probabilities"
-    )
-    min_z.add_argument("--q", default=None, help="comma-separated attacker powers")
-    min_z.add_argument("--q-range", default=None, help="START:STOP:STEP sweep")
-    min_z.add_argument(
-        "--target",
-        default=None,
-        help=f"comma-separated targets (default {','.join(map(str, DEFAULT_TARGETS))})",
-    )
-    min_z.add_argument("--variant", choices=variants, default=Variant.CORRECTED.value)
-    min_z.add_argument("--surplus", type=int, default=DEFAULT_BUDGET_SURPLUS)
-    _add_output_flags(min_z)
-    min_z.set_defaults(handler=_cmd_min_z)
-
-    simulate = sub.add_parser("simulate", help="Monte Carlo race at one (q, z)")
-    simulate.add_argument("--q", type=float, required=True)
-    simulate.add_argument("--z", type=int, required=True)
-    simulate.add_argument("--surplus", type=int, default=DEFAULT_BUDGET_SURPLUS)
-    simulate.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument(
-        "--histogram", action="store_true", help="also print the k histogram"
-    )
-    _add_output_flags(simulate)
-    simulate.set_defaults(handler=_cmd_simulate)
-
-    validate = sub.add_parser("validate", help="model-vs-simulation sweep")
-    validate.add_argument(
-        "--q-values", default=",".join(map(str, DEFAULT_GRID_Q))
-    )
-    validate.add_argument(
-        "--z-values", default=",".join(map(str, DEFAULT_GRID_Z))
-    )
-    validate.add_argument("--variant", choices=variants, default=Variant.BUDGETED.value)
-    validate.add_argument("--surplus", type=int, default=DEFAULT_BUDGET_SURPLUS)
-    validate.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    validate.add_argument("--seed", type=int, default=None)
-    validate.add_argument(
-        "--attribution",
-        action="store_true",
-        help="also print per-component error attribution for every cell",
-    )
-    _add_output_flags(validate)
-    validate.set_defaults(handler=_cmd_validate)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, defaults, flags) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        for flag in (*flags, "--format", "--out"):
+            flag, settings = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            sub.add_argument(flag, **settings)
+        sub.set_defaults(**defaults)
     return parser
 
 
-def _default_seed_from_env() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return _check_seed(int(raw), ENV_SEED)
-    except ValueError:
-        raise UsageError(f"{ENV_SEED} must be an integer, got {raw!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.default_seed = _default_seed_from_env()
         text = _render(args.format, *args.handler(args))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -506,3 +507,112 @@ def test_module_entry_point_runs():
     proc = run_module("prob", "--q", "0.25", "--z", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("q,z,variant,budget_surplus,probability\n")
+
+
+# Every flag's dest and default per subcommand, parsed from a minimal argv, so
+# that an added, removed or renamed flag shows up as a diff here.
+CLI_SURFACE = {
+    "prob": (
+        ["prob", "--q", "0.3", "--z", "1"],
+        {
+            "command": "prob", "q": 0.3, "z": 1, "variant": "corrected", "surplus": 35,
+            "summands": False, "format": "csv", "out": None, "handler": "_cmd_prob",
+        },
+    ),
+    "min-z": (
+        ["min-z"],
+        {
+            "command": "min-z", "q": None, "q_range": None, "target": None,
+            "variant": "corrected", "surplus": 35, "format": "csv", "out": None,
+            "handler": "_cmd_min_z",
+        },
+    ),
+    "simulate": (
+        ["simulate", "--q", "0.3", "--z", "1"],
+        {
+            "command": "simulate", "q": 0.3, "z": 1, "surplus": 35, "trials": 100_000,
+            "seed": None, "histogram": False, "format": "csv", "out": None,
+            "handler": "_cmd_simulate",
+        },
+    ),
+    "validate": (
+        ["validate"],
+        {
+            "command": "validate", "q_values": "0.1,0.2,0.3,0.4",
+            "z_values": "1,3,6,12,24", "variant": "budgeted", "surplus": 35,
+            "trials": 100_000, "seed": None, "attribution": False, "format": "csv",
+            "out": None, "handler": "_cmd_validate",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_cli_surface_is_pinned(command):
+    argv, expected = CLI_SURFACE[command]
+    observed = vars(cli_module.build_parser().parse_args(argv))
+    observed["handler"] = observed["handler"].__name__
+    assert observed == expected
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    argv = ["prob", "--q", "0.3", "--z", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("seed", ["not-a-number", "-5", str(2**64)])
+@pytest.mark.parametrize(
+    "argv",
+    [["prob", "--q", "0.3", "--z", "2"], ["min-z", "--q", "0.3", "--target", "0.01"]],
+    ids=["prob", "min-z"],
+)
+def test_commands_without_a_seed_ignore_the_env_seed(capsys, monkeypatch, argv, seed):
+    monkeypatch.delenv("DOUBLESPEND_SEED", raising=False)
+    _, expected, _ = run_cli(*argv, capsys=capsys)
+    monkeypatch.setenv("DOUBLESPEND_SEED", seed)
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    ("seed", "message"),
+    [
+        ("not-a-number", "DOUBLESPEND_SEED must be an integer, got 'not-a-number'"),
+        ("-5", "DOUBLESPEND_SEED must be in [0, 2**64), got -5"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--q", "0.2", "--z", "1", "--trials", "10"],
+        ["validate", "--q-values", "0.2", "--z-values", "1", "--trials", "10"],
+    ],
+    ids=["simulate", "validate"],
+)
+def test_seeded_commands_reject_a_bad_env_seed(capsys, monkeypatch, argv, seed, message):
+    monkeypatch.setenv("DOUBLESPEND_SEED", seed)
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, where):
+    out_path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(
+        "prob", "--q", "0.3", "--z", "2", "--out", str(out_path), capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out: ")
+    assert str(out_path) in err
+    assert list(tmp_path.iterdir()) == []
