@@ -46,39 +46,20 @@ MAX_SURPLUS = 100_000
 MAX_TRIALS = 10**8
 
 
-class UsageError(Exception):
-    """Invalid arguments; reported on stderr with exit code 2."""
-
-
 class Block(NamedTuple):
     """One output table: a JSON key (None: CSV only), its CSV and JSON
-    columns (empty: JSON or CSV only), its rows, and the CSV text for None."""
+    columns (empty: JSON or CSV only), its rows (dicts holding every column
+    it prints), and the CSV text for None."""
 
     key: str | None
     csv: tuple[str, ...]
     json: tuple[str, ...]
-    rows: list
+    rows: list[dict]
     none: str = ""
 
 
-_MISSING = object()
-
-
-def _value(row, name: str, head: dict):
-    """Field `name` of a row (an object, a dict, or a tuple of them, searched
-    in order), else of the head."""
-    for source in (*row, head) if isinstance(row, tuple) else (row, head):
-        if isinstance(source, dict):
-            value = source.get(name, _MISSING)
-        else:
-            value = getattr(source, name, _MISSING)
-        if value is not _MISSING:
-            return value
-    raise KeyError(name)
-
-
-def _record(row, columns: tuple[str, ...], head: dict) -> dict:
-    return {name: _value(row, name, head) for name in columns}
+def _fields(record, names: tuple[str, ...]) -> dict:
+    return {name: getattr(record, name) for name in names}
 
 
 def _fmt(value, none: str) -> str:
@@ -96,54 +77,55 @@ def _render(fmt: str, head: dict, blocks: list[Block]) -> str:
         payload = dict(head)
         for block in blocks:
             if block.key is not None:
-                payload[block.key] = [_record(r, block.json, head) for r in block.rows]
+                payload[block.key] = [{c: r[c] for c in block.json} for r in block.rows]
         return json.dumps(payload, indent=2) + "\n"
     texts = []
     for block in blocks:
         if block.csv:
             lines = [",".join(block.csv)]
-            for row in block.rows:
-                values = (_value(row, name, head) for name in block.csv)
-                lines.append(",".join(_fmt(v, block.none) for v in values))
+            lines += (",".join(_fmt(r[c], block.none) for c in block.csv) for r in block.rows)
             texts.append("\n".join(lines) + "\n")
     return "\n".join(texts)
 
 
 def _parse_list(text: str, flag: str, kind: type = float) -> list:
     try:
-        return [kind(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
+        values = []
+    if not values:
         noun = "integers" if kind is int else "numbers"
-        raise UsageError(f"{flag}: expected comma-separated {noun}, got {text!r}")
+        raise ValueError(f"{flag}: expected comma-separated {noun}, got {text!r}")
+    return values
 
 
 def _parse_q_range(text: str) -> list[float]:
     try:
         start, stop, step = (float(part) for part in text.split(":"))
     except ValueError:
-        raise UsageError(f"--q-range: expected START:STOP:STEP, got {text!r}")
+        raise ValueError(f"--q-range: expected START:STOP:STEP, got {text!r}")
     if not all(map(math.isfinite, (start, stop, step))):
-        raise UsageError(f"--q-range: parts must be finite, got {text!r}")
+        raise ValueError(f"--q-range: parts must be finite, got {text!r}")
     if step <= 0 or stop < start:
-        raise UsageError("--q-range: need step > 0 and stop >= start")
+        raise ValueError("--q-range: need step > 0 and stop >= start")
     span = (stop - start) / step + 1e-9
     if span >= MAX_Q_RANGE_VALUES:
-        raise UsageError(f"--q-range: over {MAX_Q_RANGE_VALUES} values in {text!r}")
+        raise ValueError(f"--q-range: over {MAX_Q_RANGE_VALUES} values in {text!r}")
     count = int(span) + 1
     return [round(start + i * step, 12) for i in range(count)]
 
 
 def _check_q(q: float) -> MiningPowerSplit:
     if not 0.0 < q < 1.0:
-        raise UsageError(f"q must be in (0, 1), got {q!r}")
+        raise ValueError(f"q must be in (0, 1), got {q!r}")
     return MiningPowerSplit(q)
 
 
 def _check_range(value: int, name: str, low: int, high: int | None = None) -> int:
     if value < low:
-        raise UsageError(f"{name} must be >= {low}, got {value}")
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
-        raise UsageError(f"{name} must be <= {high}, got {value}")
+        raise ValueError(f"{name} must be <= {high}, got {value}")
     return value
 
 
@@ -158,9 +140,9 @@ def _seed(args) -> int:
         try:
             seed, source = int(raw), ENV_SEED
         except ValueError:
-            raise UsageError(f"{ENV_SEED} must be an integer, got {raw!r}")
+            raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}")
     if not 0 <= seed < 2**64:
-        raise UsageError(f"{source} must be in [0, 2**64), got {seed}")
+        raise ValueError(f"{source} must be in [0, 2**64), got {seed}")
     return seed
 
 
@@ -181,23 +163,29 @@ def _cmd_prob(args) -> tuple[dict, list[Block]]:
     blocks = [Block(None, tuple(head), (), [head])]
     if args.summands:
         columns = ("k", "pmf", "catch_up", "product")
-        blocks.append(Block("summands", columns, columns, attack_summands(query)))
+        rows = [_fields(summand, columns) for summand in attack_summands(query)]
+        blocks.append(Block("summands", columns, columns, rows))
     return head, blocks
 
 
 def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     if (args.q is None) == (args.q_range is None):
-        raise UsageError("min-z needs exactly one of --q or --q-range")
-    q_values = _parse_list(args.q, "--q") if args.q else _parse_q_range(args.q_range)
-    targets = _parse_list(args.target, "--target") if args.target else DEFAULT_TARGETS
+        raise ValueError("min-z needs exactly one of --q or --q-range")
+    if args.q is None:
+        q_values = _parse_q_range(args.q_range)
+    else:
+        q_values = _parse_list(args.q, "--q")
+    targets = (
+        DEFAULT_TARGETS if args.target is None else _parse_list(args.target, "--target")
+    )
     for t in targets:
         if not 0.0 < t < 1.0:
-            raise UsageError(f"targets must be in (0, 1), got {t!r}")
+            raise ValueError(f"targets must be in (0, 1), got {t!r}")
     powers = [_check_q(q) for q in q_values]
     variant = Variant(args.variant)
     head = {"variant": variant.value, "budget_surplus": args.surplus}
     rows = [
-        {"q": power.q, "target": target,
+        {**head, "q": power.q, "target": target,
          "min_z": min_confirmations(power, target, variant, args.surplus)}
         for power in powers
         for target in targets
@@ -265,14 +253,15 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     }
     csv = _CELL + ("variant", "budget_surplus", "trials", "seed") + _ERRORS
     json_columns = _CELL + _ERRORS + ("trials",)
-    blocks = [Block("rows", csv, json_columns, run_validation(grid))]
+    rows = [{**head, **_fields(row, json_columns)} for row in run_validation(grid)]
+    blocks = [Block("rows", csv, json_columns, rows)]
     if args.attribution:
-        reports = run_attribution(grid)
-        flat = [(row, report) for report in reports for row in report.rows()]
-        nested = [
-            (report, {"comparisons": [_record(r, _COMPARISON, {}) for r in report.rows()]})
-            for report in reports
-        ]
+        flat, nested = [], []
+        for report in run_attribution(grid):
+            cell = _fields(report, _CELL + _ESTIMATES)
+            comparisons = [_fields(row, _COMPARISON) for row in report.rows()]
+            flat += ({**cell, **row} for row in comparisons)
+            nested.append({**cell, "comparisons": comparisons})
         blocks.append(Block(None, _CELL + _COMPARISON, (), flat))
         blocks.append(
             Block("attribution", (), _CELL + _ESTIMATES + ("comparisons",), nested)
@@ -356,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = _render(args.format, *args.handler(args))
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # invalid arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out in (None, "-"):

@@ -154,8 +154,6 @@ class Summand:
 
 def _pow_ratio(base: float, n: int) -> float:
     """base**n for base in (0, 1] and n >= 0, via log space for large n."""
-    if n == 0 or base == 1.0:
-        return 1.0
     if n <= _POW_DIRECT_MAX:
         return base**n
     return math.exp(n * math.log(base))
@@ -244,23 +242,18 @@ def poisson_pmf(k: int, rate: float) -> float:
 
 
 def _poisson_terms(rate: float, k_top: int) -> list[float]:
-    """pmf(0..k_top; rate) in one pass, with poisson_pmf's two branches.
+    """pmf(0..k_top; rate) in one pass; rate 0 and log space are poisson_pmf's.
 
     The recurrence rounds term * rate / k where poisson_pmf rounds
     term * (rate / k), so most terms differ from poisson_pmf in the last
     bits.  Summands, and so the model and its golden output, use this one.
     """
-    if rate == 0.0:
-        return [1.0] + [0.0] * k_top
-    if rate <= _PMF_LOGSPACE_RATE:
-        terms = [math.exp(-rate)]
-        for k in range(1, k_top + 1):
-            terms.append(terms[-1] * rate / k)
-        return terms
-    log_rate = math.log(rate)
-    return [
-        math.exp(k * log_rate - rate - math.lgamma(k + 1.0)) for k in range(k_top + 1)
-    ]
+    if rate == 0.0 or rate > _PMF_LOGSPACE_RATE:
+        return [poisson_pmf(k, rate) for k in range(k_top + 1)]
+    terms = [math.exp(-rate)]
+    for k in range(1, k_top + 1):
+        terms.append(terms[-1] * rate / k)
+    return terms
 
 
 def _poisson_upper_tail(rate: float, k_from: int, term_at_k_from: float) -> float:

@@ -122,12 +122,6 @@ class SimulationResult:
     def mean_k(self) -> float:
         return sum(k * n for k, n in self.k_histogram.items()) / self.trials
 
-    @property
-    def k_variance(self) -> float:
-        m = self.mean_k
-        sq = sum(k * k * n for k, n in self.k_histogram.items()) / self.trials
-        return sq - m * m
-
 
 def _check_trials(trials: int) -> None:
     if not 1 <= trials < 2**64:  # trial t's stream key is built from t + 1 < 2**64
@@ -218,8 +212,6 @@ def _wait_phase(
 
 def _join(rest, fresh):
     """Carried walks followed by a fresh tile's."""
-    if not rest[0].size:
-        return fresh
     return tuple(map(np.concatenate, zip(rest, fresh)))
 
 

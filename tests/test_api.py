@@ -47,6 +47,16 @@ PUBLIC_API = {
 }
 
 
+# Every public record's properties, pinned the same way.
+PUBLIC_PROPERTIES = {
+    "ComparisonRow": ("z_score",),
+    "MiningPowerSplit": ("p",),
+    "RuinGameSpec": ("loss_prob",),
+    "SimulationResult": ("mean_k", "std_err", "success_rate"),
+    "Summand": ("product",),
+}
+
+
 def parameter_names(obj):
     if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
         return tuple(inspect.signature(obj).parameters)
@@ -58,3 +68,15 @@ def test_public_api_surface_is_pinned():
         name: parameter_names(getattr(doublespend, name)) for name in doublespend.__all__
     }
     assert observed == PUBLIC_API
+
+
+def test_public_record_properties_are_pinned():
+    records = [getattr(doublespend, name) for name in doublespend.__all__]
+    observed = {
+        record.__name__: tuple(
+            name for name, _ in inspect.getmembers(record, lambda v: isinstance(v, property))
+        )
+        for record in records
+        if dataclasses.is_dataclass(record)
+    }
+    assert {name: props for name, props in observed.items() if props} == PUBLIC_PROPERTIES

@@ -8,6 +8,7 @@ import doublespend.model as model_module
 from doublespend import (
     AttackQuery,
     MiningPowerSplit,
+    ProbabilityRangeError,
     Variant,
     attack_success,
     attack_summands,
@@ -142,6 +143,16 @@ class TestAttackSuccess:
             AttackQuery(MiningPowerSplit(0.3), 3, Variant.BUDGETED, 0)
         with pytest.raises(ValueError):
             MiningPowerSplit(1.5)
+
+    @pytest.mark.parametrize("raw", [-2e-9, 1.0 + 2e-9], ids=["below", "above"])
+    def test_results_past_the_guard_band_raise(self, raw):
+        with pytest.raises(ProbabilityRangeError) as excinfo:
+            model_module._as_probability(raw)
+        assert str(excinfo.value) == f"probability out of guard band: {raw!r}"
+
+    def test_results_inside_the_guard_band_are_clipped(self):
+        assert model_module._as_probability(-model_module.GUARD_BAND) == 0.0
+        assert model_module._as_probability(1.0 + model_module.GUARD_BAND) == 1.0
 
     @settings(max_examples=60)
     @given(

@@ -616,3 +616,48 @@ def test_unwritable_out_exits_2(capsys, tmp_path, where):
     assert err.startswith("error: --out: ")
     assert str(out_path) in err
     assert list(tmp_path.iterdir()) == []
+
+
+def handler_error(capsys, *argv):
+    """The ValueError message argv's handler raises; main exits 2 with it."""
+    args = cli_module.build_parser().parse_args(list(argv))
+    with pytest.raises(ValueError) as excinfo:
+        args.handler(args)
+    assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {excinfo.value}\n")
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["min-z", "--q", ""], "--q: expected comma-separated numbers, got ''"),
+        (["min-z", "--q", ","], "--q: expected comma-separated numbers, got ','"),
+        (["min-z", "--q", "0.3", "--target", ""],
+         "--target: expected comma-separated numbers, got ''"),
+        (["min-z", "--q", "0.3", "--target", ","],
+         "--target: expected comma-separated numbers, got ','"),
+        (["validate", "--q-values", ",", "--trials", "10"],
+         "--q-values: expected comma-separated numbers, got ','"),
+    ],
+    ids=["q-empty", "q-comma", "target-empty", "target-comma", "q-values-comma"],
+)
+def test_an_empty_list_flag_exits_2(capsys, argv, message):
+    assert handler_error(capsys, *argv) == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--z-values", "1,x", "--trials", "10"],
+         "--z-values: expected comma-separated integers, got '1,x'"),
+        (["min-z", "--q-range", "0.1:0.2"],
+         "--q-range: expected START:STOP:STEP, got '0.1:0.2'"),
+        (["min-z", "--q-range", "0.2:0.1:0.1"], "--q-range: need step > 0 and stop >= start"),
+        (["min-z", "--q-range", "0.1:0.2:0"], "--q-range: need step > 0 and stop >= start"),
+        (["prob", "--q", "0.3", "--z", "2", "--variant", "budgeted", "--surplus", "0"],
+         "--surplus must be >= 1, got 0"),
+    ],
+    ids=["malformed-list", "malformed-range", "reversed-range", "zero-step", "surplus-0"],
+)
+def test_malformed_flags_exit_2(capsys, argv, message):
+    assert handler_error(capsys, *argv) == message

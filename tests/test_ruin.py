@@ -55,6 +55,11 @@ class TestRuinWinProbability:
         with pytest.raises(ValueError):
             RuinGameSpec(5, 4, 0.4)
 
+    def test_rejects_a_certain_win(self):
+        with pytest.raises(ValueError) as excinfo:
+            RuinGameSpec(1, 2, 1.0)
+        assert str(excinfo.value) == "win_prob must be in (0, 1), got 1.0"
+
     def test_large_games_stay_finite(self):
         assert 0.0 <= ruin(500, 10_000, 0.01) <= 1.0
         assert 0.0 <= ruin(9_999, 10_000, 0.99) <= 1.0
@@ -100,6 +105,11 @@ class TestCatchUpLimited:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             catch_up_limited(3, 0, MiningPowerSplit(0.3))
+
+    def test_rejects_a_negative_deficit(self):
+        with pytest.raises(ValueError) as excinfo:
+            catch_up_limited(-1, 5, MiningPowerSplit(0.3))
+        assert str(excinfo.value) == "deficit z must be >= 0"
 
     @given(
         deficit=st.integers(min_value=0, max_value=40),

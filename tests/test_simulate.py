@@ -11,6 +11,7 @@ import doublespend.simulate as simulate_module
 from doublespend import (
     AttackQuery,
     MiningPowerSplit,
+    SimulationResult,
     TrialConfig,
     Variant,
     attack_success,
@@ -179,6 +180,26 @@ class TestSingleTrial:
             TrialRecord(0, True, 5, True)
 
 
+CONFIG = TrialConfig(MiningPowerSplit(0.3), 2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TrialConfig(CONFIG.power, -1), "confirmation depth z must be >= 0"),
+        (lambda: TrialConfig(CONFIG.power, 2, 0), "budget_surplus must be >= 1"),
+        (lambda: SimulationResult(CONFIG, 10, 11, {0: 10}), "wins must be in [0, trials]"),
+        (lambda: SimulationResult(CONFIG, 10, 5, {0: 4, 1: 5}),
+         "k_histogram must account for every trial"),
+    ],
+    ids=["negative-z", "zero-surplus", "wins-past-trials", "short-histogram"],
+)
+def test_records_reject_inconsistent_fields(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 class TestRunTrials:
     def test_bit_identical_reruns(self):
         config = TrialConfig(MiningPowerSplit(0.3), 5)
@@ -294,7 +315,8 @@ class TestRunTrials:
 
     def test_mean_progress_matches_rate(self):
         result = run_trials(TrialConfig(MiningPowerSplit(0.25), 3), 100_000, 5)
-        se = math.sqrt(result.k_variance / result.trials)
+        sq = sum(k * k * n for k, n in result.k_histogram.items()) / result.trials
+        se = math.sqrt((sq - result.mean_k**2) / result.trials)
         assert abs(result.mean_k - 1.0) <= 3.0 * se
 
     def test_rejects_zero_trials(self):

@@ -4,6 +4,7 @@ import pytest
 
 from doublespend import (
     AttackQuery,
+    ComparisonRow,
     MiningPowerSplit,
     SweepGrid,
     Variant,
@@ -34,6 +35,17 @@ class TestSweepGrid:
             SweepGrid((0.1,), (-1, 2), master_seed=0)
         with pytest.raises(ValueError):
             SweepGrid((), (1,), master_seed=0)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError) as excinfo:
+            SweepGrid((0.1,), (1,), trials=0)
+        assert str(excinfo.value) == "trials must be >= 1"
+
+
+def test_z_score_at_zero_standard_error():
+    assert ComparisonRow("c", "l", 0.5, 0.5, 0.0).z_score == 0.0
+    assert ComparisonRow("c", "l", 0.6, 0.5, 0.0).z_score == math.inf
+    assert ComparisonRow("c", "l", 0.4, 0.5, 0.05).z_score == pytest.approx(-2.0)
 
 
 class TestRunValidation:
