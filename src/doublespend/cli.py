@@ -27,7 +27,7 @@ from .model import (
     attack_summands, min_confirmations,
 )
 from .simulate import TrialConfig, run_trials
-from .validate import SweepGrid, run_attribution, run_validation
+from .validate import SweepGrid, _sweep
 
 ENV_SEED = "DOUBLESPEND_SEED"
 DEFAULT_SEED = 20090103
@@ -253,11 +253,12 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     }
     csv = _CELL + ("variant", "budget_surplus", "trials", "seed") + _ERRORS
     json_columns = _CELL + _ERRORS + ("trials",)
-    rows = [{**head, **_fields(row, json_columns)} for row in run_validation(grid)]
+    rows, reports = _sweep(grid, rows=True, reports=args.attribution)
+    rows = [{**head, **_fields(row, json_columns)} for row in rows]
     blocks = [Block("rows", csv, json_columns, rows)]
     if args.attribution:
         flat, nested = [], []
-        for report in run_attribution(grid):
+        for report in reports:
             cell = _fields(report, _CELL + _ESTIMATES)
             comparisons = [_fields(row, _COMPARISON) for row in report.rows()]
             flat += ({**cell, **row} for row in comparisons)

@@ -10,14 +10,17 @@ loss when it reaches its starting value plus the remaining loss budget
 z + budget_surplus - k.  No formula from the closed-form model decides any
 trial; everything is coin flips.
 
-Each phase is one vectorized kernel.  _wait_phase returns every trial's k;
-_chase_phase walks deficits to absorption and counts wins per cell label.
-run_trials runs the wait, then chases the trials that need it, continuing
-trial t's stream at draw z + k.  empirical_k_distribution is the wait alone;
-empirical_catch_up is the chase alone, for many (deficit, budget, seed) cells
-in one pass.  The kernels take walks in tiles of at most _BATCH_WALKS, so
-their per-walk arrays stay cache-resident and the working set does not grow
-with the trial count.  Walks are capped after DEFAULT_MAX_BLOCKS flips, read
+Each phase is one vectorized kernel: _wait_phase returns every trial's k,
+and _chase_phase walks deficits to absorption, counting wins and capped walks
+per label.  One engine, _simulate, runs races (the wait, then a chase that
+continues trial t's stream at draw z + k), waits alone and catch-up cells
+(chases alone) with one wait pass over every wait and one chase pass over the
+races' chases and then the cells' walks.  run_trials is one race,
+empirical_k_distribution one wait and empirical_catch_up a list of cells;
+validate feeds a grid cell's races, wait and cells to one call.  The
+kernels take walks in tiles of at most _BATCH_WALKS, so their per-walk
+arrays stay cache-resident and the working set does not grow with the trial
+count.  Walks are capped after DEFAULT_MAX_BLOCKS flips, read
 at call time.  A finished or capped walk is recorded, then parked: it stays
 in the arrays, drawn for but never matched again, until a quarter of them
 are parked or a tile joins, and only then do they compact.  Once few walks
@@ -34,6 +37,7 @@ only, hence order-insensitive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,22 +132,18 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be >= 1" if trials < 1 else "trials must be < 2**64")
 
 
-def _batches(trials: int, streams_per_trial: int = 1):
-    """(start, count) trial ranges of near-equal size, each at most _BATCH_WALKS walks.
+def _tiles(seeds: list[int], trials: int):
+    """(count, keys) per tile: the stream keys of one trial range of every seed.
 
-    A range holds at least one trial whatever streams_per_trial is.  Sizes
-    differ by at most one, so no small leftover tile pays a full tile's steps.
+    Ranges hold at most _BATCH_WALKS walks across the seeds, but at least one
+    trial, and differ in size by at most one, so no small leftover tile pays a
+    full tile's steps.  No seeds, no tiles.
     """
-    tiles = -(-trials // max(1, _BATCH_WALKS // streams_per_trial))
+    tiles = -(-trials // max(1, _BATCH_WALKS // len(seeds))) if seeds else 0
     for i in range(tiles):
         start = i * trials // tiles
-        yield start, (i + 1) * trials // tiles - start
-
-
-def _fold_histogram(histogram: dict[int, int], k: np.ndarray) -> None:
-    for kk, n in enumerate(np.bincount(k)):
-        if n:
-            histogram[kk] = histogram.get(kk, 0) + int(n)
+        count = (i + 1) * trials // tiles - start
+        yield count, np.concatenate([trial_keys(s, count, start=start) for s in seeds])
 
 
 def _block_rows(walks: int) -> int:
@@ -165,10 +165,8 @@ def _keep(keep: np.ndarray, live: int, *state):
     return state
 
 
-def _wait_phase(
-    keys: np.ndarray, threshold: np.uint64, z: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flip each stream's coins until its z-th honest block; returns (k, capped).
+def _wait_phase(keys: np.ndarray, threshold: np.uint64, z: int) -> np.ndarray:
+    """Flip each stream's coins until its z-th honest block; returns k.
 
     k[i] counts attacker blocks before stream i's z-th honest block, so the
     wait used z + k[i] draws.  A stream still short of z honest blocks after
@@ -207,7 +205,7 @@ def _wait_phase(
                 keys, pos, k = _keep(k >= 0, live, keys, pos, k)
     running = k >= 0
     k_out[pos[running]] = k[running]
-    return k_out, k_out > DEFAULT_MAX_BLOCKS - z
+    return k_out
 
 
 def _join(rest, fresh):
@@ -233,13 +231,13 @@ def _chase_phase(
     is live, or before a join, so a join carries live walks only.  With no
     tile left and _BATCH_WALKS // 16 or fewer live, the arrays compact and each
     loop walks a block of flips that ends by the next cap.  Returns (wins per
-    cell, capped walks).
+    cell, capped walks per cell).
     """
     tiles = iter(tiles)
     keys = np.empty(0, dtype=np.uint64)
     d = loss_at = cap = cell = np.empty(0, dtype=np.int64)
-    wins = np.zeros(cells, dtype=np.int64)
-    capped = step = live = 0
+    wins, capped = np.zeros((2, cells), dtype=np.int64)
+    step = live = 0
     cap_floor = _FLIP_LIMIT
     more = True
     while live or more:
@@ -260,9 +258,8 @@ def _chase_phase(
         if step >= cap_floor:
             running = d > 0
             spent = running & (cap <= step)
-            n_spent = int(np.count_nonzero(spent))
-            capped += n_spent
-            live -= n_spent
+            capped += np.bincount(cell[spent], minlength=cells)
+            live -= int(np.count_nonzero(spent))
             d[spent] = _PARKED
             cap_floor = np.min(cap, where=running & ~spent, initial=_FLIP_LIMIT)
             continue
@@ -290,40 +287,79 @@ def _chase_phase(
     return wins, capped
 
 
-def run_trials(config: TrialConfig, trials: int, master_seed: int) -> SimulationResult:
-    """Aggregate independent trials; deterministic in (config, trials, master_seed)."""
+def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
+    """Races and waits at config, and catch-up cells, in one wait and one chase pass.
+
+    races and waits are master seeds; cells are (deficit, budget, master_seed),
+    whose walks win at 0 and lose at deficit + budget.  A wait tile holds the
+    same trial range of every race and wait; each chase walk is labelled with
+    its race or cell.  Returns (a SimulationResult per race, a normalized k
+    histogram per wait, a win fraction per cell).
+    """
+    cells = list(cells)
     _check_trials(trials)
+    for deficit, budget, _ in cells:
+        if deficit < 0:
+            raise ValueError("deficit must be >= 0")
+        if deficit and budget < 1:
+            raise ValueError("budget must be >= 1")
     # No run makes _FLIP_LIMIT flips, so larger values act alike; clamped, the
     # chase's barriers fit int64.
     z, surplus = (min(v, _FLIP_LIMIT) for v in (config.z, config.budget_surplus))
     threshold = np.uint64(bernoulli_threshold(config.power.q))
-    wins = capped = 0
-    histogram: dict[int, int] = {}
+    streams = [*races, *waits]
+    histograms: list[dict[int, int]] = [{} for _ in streams]
+    last_k = DEFAULT_MAX_BLOCKS - z  # a wait that reaches a larger k is capped
 
-    def chase_tiles():
-        nonlocal wins, capped
-        for start, count in _batches(trials):
-            keys = trial_keys(master_seed, count, start=start)
-            k, wait_capped = _wait_phase(keys, threshold, z)
-            _fold_histogram(histogram, k)
+    def race_tiles():
+        for count, keys in _tiles(streams, trials):
+            k = _wait_phase(keys, threshold, z)
+            for histogram, stream_k in zip(histograms, k.reshape(-1, count)):
+                for kk, n in enumerate(np.bincount(stream_k)):
+                    if n:
+                        histogram[kk] = histogram.get(kk, 0) + int(n)
+            label = np.repeat(np.arange(len(races)), count)  # the races lead the tile
             # A trial capped in the wait may already have k > z; it is capped, not won.
-            chase = ~wait_capped & (k <= z)
-            kc = k[chase]
-            n_wait_capped = int(np.count_nonzero(wait_capped))
-            wins += count - kc.size - n_wait_capped
-            capped += n_wait_capped
+            chase = k[: label.size] <= min(z, last_k)
+            kc = k[: label.size][chase]
             yield (
-                advance_keys(keys[chase], z + kc),
+                advance_keys(keys[: label.size][chase], z + kc),
                 z + 1 - kc,
                 2 * (z - kc) + 1 + surplus,
                 DEFAULT_MAX_BLOCKS - z - kc,
-                np.zeros(kc.size, dtype=np.int64),
+                label[chase],
             )
 
-    chase_wins, chase_capped = _chase_phase(threshold, chase_tiles())
-    wins += int(chase_wins[0])
-    capped += chase_capped
-    return SimulationResult(config, trials, wins, histogram, master_seed, capped)
+    live = [cell for cell in cells if cell[0]]
+    # Clamped as the races are: past _FLIP_LIMIT no barrier is reachable.
+    start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in live], dtype=np.int64)
+    loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in live]
+    cap = np.full(len(live), DEFAULT_MAX_BLOCKS)
+    per_cell = (start_d, loss_at, cap, len(races) + np.arange(len(live)))
+    cell_tiles = (
+        (keys, *(np.repeat(x, count) for x in per_cell))
+        for count, keys in _tiles([s for _, _, s in live], trials)
+    )
+    tiles = itertools.chain(race_tiles(), cell_tiles)
+    wins, capped = _chase_phase(threshold, tiles, len(races) + len(live))
+    # A race's trials with no chase are won (z < k <= last_k) or capped in the wait.
+    results = [
+        SimulationResult(
+            config, trials, int(w) + sum(n for kk, n in h.items() if z < kk <= last_k),
+            h, seed, int(c) + sum(n for kk, n in h.items() if kk > last_k),
+        )
+        for seed, w, c, h in zip(races, wins, capped, histograms)
+    ]
+    k_dists = [
+        {kk: n / trials for kk, n in sorted(h.items())} for h in histograms[len(races):]
+    ]
+    cell_rates = iter(int(w) / trials for w in wins[len(races):])
+    return results, k_dists, [next(cell_rates) if d else 1.0 for d, _, _ in cells]
+
+
+def run_trials(config: TrialConfig, trials: int, master_seed: int) -> SimulationResult:
+    """Aggregate independent trials; deterministic in (config, trials, master_seed)."""
+    return _simulate(config, trials, races=[master_seed])[0][0]
 
 
 def empirical_catch_up(power: MiningPowerSplit, cells, trials: int) -> list[float]:
@@ -337,30 +373,7 @@ def empirical_catch_up(power: MiningPowerSplit, cells, trials: int) -> list[floa
     DEFAULT_MAX_BLOCKS flips count as losses; near-fair walks with a large
     budget do reach it (q=0.49 with a budget past 1e5, for one).
     """
-    cells = list(cells)
-    _check_trials(trials)
-    for deficit, budget, _ in cells:
-        if deficit < 0:
-            raise ValueError("deficit must be >= 0")
-        if deficit and budget < 1:
-            raise ValueError("budget must be >= 1")
-    live = [cell for cell in cells if cell[0]]
-    # Clamped as in run_trials: past _FLIP_LIMIT no barrier is reachable.
-    start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in live], dtype=np.int64)
-    loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in live]
-    cap = np.full(len(live), DEFAULT_MAX_BLOCKS)
-    per_cell = (start_d, loss_at, cap, np.arange(len(live)))  # d, loss_at, cap, cell
-    tiles = (
-        (
-            np.concatenate([trial_keys(s, count, start=start) for _, _, s in live]),
-            *(np.repeat(x, count) for x in per_cell),
-        )
-        for start, count in (_batches(trials, len(live)) if live else ())
-    )
-    threshold = np.uint64(bernoulli_threshold(power.q))
-    wins, _ = _chase_phase(threshold, tiles, len(live))
-    live_rates = iter(int(w) / trials for w in wins)
-    return [next(live_rates) if deficit else 1.0 for deficit, _, _ in cells]
+    return _simulate(TrialConfig(power, 0), trials, cells=cells)[2]
 
 
 def empirical_k_distribution(
@@ -375,10 +388,4 @@ def empirical_k_distribution(
     """
     if z < 1:
         raise ValueError("z must be >= 1")
-    _check_trials(trials)
-    threshold = np.uint64(bernoulli_threshold(power.q))
-    histogram: dict[int, int] = {}
-    for start, count in _batches(trials):
-        keys = trial_keys(master_seed, count, start=start)
-        _fold_histogram(histogram, _wait_phase(keys, threshold, z)[0])
-    return {kk: n / trials for kk, n in sorted(histogram.items())}
+    return _simulate(TrialConfig(power, z), trials, waits=[master_seed])[1][0]

@@ -35,12 +35,7 @@ from .model import (
     DEFAULT_BUDGET_SURPLUS,
 )
 from .rng import derive_seed
-from .simulate import (
-    TrialConfig,
-    empirical_catch_up,
-    empirical_k_distribution,
-    run_trials,
-)
+from .simulate import TrialConfig, _simulate
 
 __all__ = [
     "AttributionReport",
@@ -104,31 +99,7 @@ def run_validation(grid: SweepGrid) -> list[ValidationRow]:
     z index), so appending values to either axis never perturbs existing
     cells.
     """
-    rows = []
-    for qi, q in enumerate(grid.q_values):
-        power = MiningPowerSplit(q)
-        for zi, z in enumerate(grid.z_values):
-            model = attack_success(
-                AttackQuery(power, z, grid.variant, grid.budget_surplus)
-            )
-            config = TrialConfig(power, z, grid.budget_surplus)
-            seed = derive_seed(grid.master_seed, qi, zi)
-            sim = run_trials(config, grid.trials, seed)
-            abs_error = abs(model - sim.success_rate)
-            rel_error = abs_error / sim.success_rate if sim.success_rate > 0 else None
-            rows.append(
-                ValidationRow(
-                    q=q,
-                    z=z,
-                    model_prob=model,
-                    sim_prob=sim.success_rate,
-                    sim_std_err=sim.std_err,
-                    abs_error=abs_error,
-                    rel_error=rel_error,
-                    trials=grid.trials,
-                )
-            )
-    return rows
+    return _sweep(grid, rows=True, reports=False)[0]
 
 
 @dataclass(frozen=True)
@@ -191,20 +162,32 @@ def component_attribution(
 
     The catch-up runs, the k-distribution run, and the success-rate run use
     distinct seeds derived from master_seed, so the comparisons are
-    statistically independent.
+    statistically independent, though all their walks share one wait pass and
+    one chase pass.
     """
     if z < 1:
         raise ValueError("z must be >= 1")
+    return _cell(TrialConfig(power, z, budget_surplus), trials, [], master_seed)[1]
+
+
+def _cell(config: TrialConfig, trials: int, races: list[int], report_seed: int | None):
+    """(a SimulationResult per race seed, component_attribution's report from
+    report_seed or None if it is None), from one engine call."""
+    if report_seed is None:
+        return _simulate(config, trials, races)[0], None
+    power, z, budget_surplus = config.power, config.z, config.budget_surplus
+    # (a) catch-up at the deficit/budget pairs the budgeted sum uses
+    cells = [
+        (z + 1 - k, z + budget_surplus - k, derive_seed(report_seed, 1, k))
+        for k in range(z + 1)
+    ]
+    # (b) and (c): one wait-phase run feeds the mean and the distribution
+    races, waits = [*races, derive_seed(report_seed, 3)], [derive_seed(report_seed, 2)]
+    (*races, race), (k_dist,), rates = _simulate(config, trials, races, waits, cells)
     rate = poisson_rate(z, power)
     query = AttackQuery(power, z, Variant.BUDGETED, budget_surplus)
     # The budgeted sum's catch-up at k = 0..z+1; at k = z+1 it is 1.0.
     catch = [row.catch_up for row in attack_summands(query)]
-
-    # (a) catch-up at the deficit/budget pairs the budgeted sum uses
-    cells = [
-        (z + 1 - k, z + budget_surplus - k, derive_seed(master_seed, 1, k))
-        for k in range(z + 1)
-    ]
     catch_rows = [
         ComparisonRow(
             component="catch_up",
@@ -213,13 +196,9 @@ def component_attribution(
             expected=expected,
             std_err=_binomial_se(expected, trials),
         )
-        for (deficit, budget, _), observed, expected in zip(
-            cells, empirical_catch_up(power, cells, trials), catch
-        )
+        for (deficit, budget, _), observed, expected in zip(cells, rates, catch)
     ]
 
-    # (b) and (c): one wait-phase run feeds the mean and the distribution
-    k_dist = empirical_k_distribution(power, z, trials, derive_seed(master_seed, 2))
     mean_k = sum(k * w for k, w in k_dist.items())
     var_k = sum(k * k * w for k, w in k_dist.items()) - mean_k * mean_k
     mean_row = ComparisonRow(
@@ -263,9 +242,6 @@ def component_attribution(
     hybrid_sq = sum(w * catch[min(k, z + 1)] ** 2 for k, w in k_dist.items())
     hybrid_se = math.sqrt(max(hybrid_sq - hybrid * hybrid, 0.0) / trials)
 
-    race = run_trials(
-        TrialConfig(power, z, budget_surplus), trials, derive_seed(master_seed, 3)
-    )
     hybrid_row = ComparisonRow(
         component="hybrid",
         label="success_rate",
@@ -274,12 +250,12 @@ def component_attribution(
         std_err=math.sqrt(hybrid_se**2 + race.std_err**2),
     )
 
-    return AttributionReport(
+    return races, AttributionReport(
         q=power.q,
         z=z,
         budget_surplus=budget_surplus,
         trials=trials,
-        master_seed=master_seed,
+        master_seed=report_seed,
         model_prob=attack_success(query),
         sim_prob=race.success_rate,
         sim_std_err=race.std_err,
@@ -296,15 +272,30 @@ def run_attribution(grid: SweepGrid) -> list[AttributionReport]:
 
     Cell (q index, z index) seeds from (master_seed, q index, z index, 1).
     """
-    return [
-        component_attribution(
-            MiningPowerSplit(q),
-            z,
-            grid.budget_surplus,
-            grid.trials,
-            derive_seed(grid.master_seed, qi, zi, 1),
-        )
-        for qi, q in enumerate(grid.q_values)
-        for zi, z in enumerate(grid.z_values)
-        if z >= 1  # attribution needs a non-empty waiting phase
-    ]
+    return _sweep(grid, rows=False, reports=True)[1]
+
+
+def _sweep(
+    grid: SweepGrid, rows: bool, reports: bool
+) -> tuple[list[ValidationRow], list[AttributionReport]]:
+    """run_validation's rows and run_attribution's reports, either or both,
+    from one engine call per cell."""
+    out_rows, out_reports, seed, surplus = [], [], grid.master_seed, grid.budget_surplus
+    for qi, q in enumerate(grid.q_values):
+        power = MiningPowerSplit(q)
+        for zi, z in enumerate(grid.z_values):
+            config = TrialConfig(power, z, surplus)
+            races = [derive_seed(seed, qi, zi)] if rows else []
+            # Attribution needs a non-empty waiting phase.
+            attribute = reports and z >= 1
+            report_seed = derive_seed(seed, qi, zi, 1) if attribute else None
+            races, report = _cell(config, grid.trials, races, report_seed)
+            out_reports += [report] if attribute else []
+            for sim in races:
+                model = attack_success(AttackQuery(power, z, grid.variant, surplus))
+                rate, error = sim.success_rate, abs(model - sim.success_rate)
+                relative = error / rate if rate > 0 else None
+                out_rows.append(ValidationRow(
+                    q, z, model, rate, sim.std_err, error, relative, grid.trials
+                ))
+    return out_rows, out_reports

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -16,7 +17,10 @@ from doublespend.cli import (
     _parse_q_range,
     main,
 )
-from doublespend import AttackQuery, MiningPowerSplit, Variant, attack_success
+from doublespend import (
+    AttackQuery, MiningPowerSplit, SweepGrid, Variant, attack_success, run_attribution,
+    run_validation,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -322,6 +326,63 @@ class TestValidate:
         assert {c["component"] for c in report["comparisons"]} == {
             "catch_up", "mean_k", "k_pmf", "hybrid",
         }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_attribution_equals_run_validation_plus_run_attribution(self, fmt, capsys):
+        # z = 0 cells (a row, no report) beside z >= 1, q on both sides of 1/2.
+        grid = SweepGrid((0.3, 0.6), (0, 1, 4), budget_surplus=12, trials=400,
+                         master_seed=23)
+        code, out, _ = run_cli(
+            "validate", "--attribution", "--q-values", "0.3,0.6", "--z-values", "0,1,4",
+            "--surplus", "12", "--trials", "400", "--seed", "23", "--format", fmt,
+            capsys=capsys,
+        )
+        assert code == 0
+        rows = [dataclasses.asdict(row) for row in run_validation(grid)]
+        reports = [
+            {
+                "q": report.q, "z": report.z, "model_prob": report.model_prob,
+                "sim_prob": report.sim_prob, "sim_std_err": report.sim_std_err,
+                "comparisons": [
+                    {**dataclasses.asdict(row), "z_score": row.z_score}
+                    for row in report.rows()
+                ],
+            }
+            for report in run_attribution(grid)
+        ]
+        assert [(r["q"], r["z"]) for r in reports] == [(0.3, 1), (0.3, 4), (0.6, 1), (0.6, 4)]
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["rows"], payload["attribution"]) == (rows, reports)
+            return
+
+        def table(columns, records):
+            # Labels hold an unquoted comma, so compare text, not parsed cells.
+            lines = [",".join(columns)]
+            for record in records:
+                values = (record[c] for c in columns)
+                lines.append(",".join(
+                    "" if v is None else repr(v) if isinstance(v, float) else str(v)
+                    for v in values
+                ))
+            return "\n".join(lines) + "\n"
+
+        head = {"variant": "budgeted", "budget_surplus": 12, "trials": 400, "seed": 23}
+        flat = [
+            {"q": r["q"], "z": r["z"], **c} for r in reports for c in r["comparisons"]
+        ]
+        assert out == "\n".join([
+            table(
+                ("q", "z", *head, "model_prob", "sim_prob", "sim_std_err", "abs_error",
+                 "rel_error"),
+                [{**head, **row} for row in rows],
+            ),
+            table(
+                ("q", "z", "component", "label", "observed", "expected", "std_err",
+                 "z_score"),
+                flat,
+            ),
+        ])
 
     def test_surplus_at_the_limit_is_accepted(self, capsys):
         code, out, _ = run_cli(

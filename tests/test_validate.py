@@ -17,6 +17,8 @@ from doublespend import (
     run_trials,
     run_validation,
 )
+import doublespend.simulate as simulate_module
+import doublespend.validate as validate_module
 from doublespend.rng import derive_seed
 from doublespend.simulate import TrialConfig
 
@@ -176,3 +178,68 @@ class TestComponentAttribution:
                 )
         assert biased >= 6  # the bias is the rule, not the exception
         assert improved >= math.ceil(0.9 * biased)
+
+
+class TestOneEngineCallPerCell:
+    """A cell's row race, attribution race, k-distribution wait and catch-up
+    cells share one wait pass and one chase pass, yet each equals its own
+    separate run."""
+
+    # z = 0 and z >= 1 cells, q on both sides of 1/2.
+    GRID = SweepGrid((0.3, 0.6), (0, 1, 4), budget_surplus=12, trials=400, master_seed=23)
+
+    def test_rows_and_reports_equal_separate_runs(self):
+        grid = self.GRID
+        rows, reports = run_validation(grid), iter(run_attribution(grid))
+        cells = [(qi, q, zi, z) for qi, q in enumerate(grid.q_values)
+                 for zi, z in enumerate(grid.z_values)]
+        for row, (qi, q, zi, z) in zip(rows, cells, strict=True):
+            power = MiningPowerSplit(q)
+            config = TrialConfig(power, z, 12)
+            race = run_trials(config, 400, derive_seed(23, qi, zi))
+            assert (row.q, row.z, row.sim_prob, row.sim_std_err) == (
+                q, z, race.success_rate, race.std_err
+            )
+            if z == 0:
+                continue
+            report = next(reports)
+            seed = derive_seed(23, qi, zi, 1)
+            assert report == component_attribution(power, z, 12, 400, seed)
+            race = run_trials(config, 400, derive_seed(seed, 3))
+            assert (report.sim_prob, report.sim_std_err, report.hybrid.expected) == (
+                race.success_rate, race.std_err, race.success_rate
+            )
+            k_dist = empirical_k_distribution(power, z, 400, derive_seed(seed, 2))
+            assert [(row.label, row.observed) for row in report.k_pmf] == [
+                (f"k={k}", w) for k, w in k_dist.items()
+            ]
+            catch_cells = [
+                (z + 1 - k, z + 12 - k, derive_seed(seed, 1, k)) for k in range(z + 1)
+            ]
+            assert [row.observed for row in report.catch_up] == empirical_catch_up(
+                power, catch_cells, 400
+            )
+        assert next(reports, None) is None
+
+    @pytest.mark.parametrize("max_blocks", [4, 40])
+    def test_fused_races_equal_separate_runs_under_the_flip_cap(self, monkeypatch, max_blocks):
+        # A cap of 4 flips caps waits; one of 40 caps chases that drift away.
+        monkeypatch.setattr(simulate_module, "DEFAULT_MAX_BLOCKS", max_blocks)
+        calls = []
+
+        def engine(*args):
+            calls.append((args, simulate_module._simulate(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(validate_module, "_simulate", engine)
+        grid = SweepGrid((0.45,), (3,), budget_surplus=200, trials=600, master_seed=5)
+        validate_module._sweep(grid, rows=True, reports=True)
+        ((config, trials, races, waits, cells), (results, k_dists, rates)), = calls
+        report_seed = derive_seed(5, 0, 0, 1)
+        assert races == [derive_seed(5, 0, 0), derive_seed(report_seed, 3)]
+        assert results == [run_trials(config, trials, seed) for seed in races]
+        assert all(result.capped_count for result in results)
+        assert k_dists == [
+            empirical_k_distribution(config.power, config.z, trials, seed) for seed in waits
+        ]
+        assert rates == empirical_catch_up(config.power, cells, trials)
