@@ -333,9 +333,12 @@ def min_confirmations(
     """Smallest z with attack_success(z) <= target, by ascending enumeration.
 
     Returns None when no finite depth works.  With q >= p each catch-up term is
-    at least b/(b+d) >= 1/2 (budget b >= deficit d), so P >= 1/2 at every z.
-    With q > p, P(z) >= 1 - exp(-z c), c = r - 1 - ln r, r = q/p (Chernoff), so
-    the scan stops once that bound clears the target, or past DEFAULT_SEARCH_CAP.
+    at least b/(b+d) >= 1/2 (budget b >= deficit d), so P >= 1/2 at every z;
+    as k > z wins outright and the rate zq/p is at least z, P(z) >= 1/2 +
+    P(Poisson(z) > z)/2 >= 1 - 1/e at every z >= 1, so a lower target needs
+    z = 0.  With q > p, P(z) >= 1 - exp(-z c), c = r - 1 - ln r, r = q/p
+    (Chernoff), so the scan stops once that bound clears the target, or past
+    DEFAULT_SEARCH_CAP.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
@@ -343,7 +346,8 @@ def min_confirmations(
         return None
     r = power.q / power.p
     c = r - 1.0 - math.log(r) if r > 1.0 else 0.0  # no Chernoff stop for q <= p
-    for z in range(DEFAULT_SEARCH_CAP + 1):
+    below_floor = power.p <= power.q and target < 1.0 - 1.0 / math.e - GUARD_BAND
+    for z in range(1 if below_floor else DEFAULT_SEARCH_CAP + 1):
         if 1.0 - math.exp(-z * c) > target + GUARD_BAND:
             return None  # the bound only grows with z
         query = AttackQuery(power, z, variant, budget_surplus)

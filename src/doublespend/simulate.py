@@ -10,22 +10,23 @@ loss when it reaches its starting value plus the remaining loss budget
 z + budget_surplus - k.  No formula from the closed-form model decides any
 trial; everything is coin flips.
 
-Each phase is one vectorized kernel: _wait_phase returns every trial's k,
-and _chase_phase walks deficits to absorption, counting wins and capped walks
-per label.  One engine, _simulate, runs races (the wait, then a chase that
-continues trial t's stream at draw z + k), waits alone and catch-up cells
-(chases alone) with one wait pass over every wait and one chase pass over the
-races' chases and then the cells' walks.  run_trials is one race,
+One vectorized kernel, _walk, runs both phases: it moves an int64 d from
+above 0 until it reaches 0, its loss barrier or its flip cap.  A wait counts
+down the z honest blocks due from d = z, so its k is flips - z + d; a chase
+walks the deficit.  One engine, _simulate, runs races (the wait, then a chase
+that continues trial t's stream at draw z + k), waits alone and catch-up
+cells (chases alone): a wait walk per tile of every wait, and one chase walk
+over the races' chases and then the cells' walks.  run_trials is one race,
 empirical_k_distribution one wait and empirical_catch_up a list of cells;
-validate feeds a grid cell's races, wait and cells to one call.  The
-kernels take walks in tiles of at most _BATCH_WALKS, so their per-walk
-arrays stay cache-resident and the working set does not grow with the trial
-count.  Walks are capped after DEFAULT_MAX_BLOCKS flips, read
-at call time.  A finished or capped walk is recorded, then parked: it stays
-in the arrays, drawn for but never matched again, until a quarter of them
-are parked or a tile joins, and only then do they compact.  Once few walks
-are left, a kernel draws a block of flips per walk in one call and finds
-each walk's absorbing flip in their cumulative sums; later draws are wasted.
+validate feeds a grid cell's races, wait and cells to one call.  The kernel
+takes walks in tiles of at most _BATCH_WALKS, so its per-walk arrays stay
+cache-resident and the working set does not grow with the trial count.
+Walks are capped after DEFAULT_MAX_BLOCKS flips, read at call time.  A
+finished or capped walk is recorded, then parked: it stays in the arrays,
+drawn for but never matched again, until a quarter of them are parked or a
+tile joins, and only then do they compact.  Once few walks are left, the
+kernel draws a block of flips per walk in one call and finds each walk's end
+in their cumulative sums; later draws are wasted.
 Trial t draws its coins from a counter-based substream keyed by
 (master_seed, t), so results are bit-identical for a given
 
@@ -64,12 +65,11 @@ DEFAULT_MAX_BLOCKS = 1_000_000
 
 # Walks per tile; outcomes are independent of this value.  At about 100 B
 # per walk (key, deficit, barrier, cap, label, their compacted copies and the
-# mix64 temporaries) a tile, plus the eighth of one the chase carries over,
+# mix64 temporaries) a tile, plus the eighth of one the kernel carries over,
 # stays inside a 2 MiB L2.
 _BATCH_WALKS = 1 << 14
 _FLIP_LIMIT = 2**60  # more coin flips than any run makes
-# A finished wait's k, or a finished or capped chase's deficit, is set to
-# _PARKED and left in the arrays:
+# A finished or capped walk's d is set to _PARKED and left in the arrays:
 # _FLIP_LIMIT steps cannot bring it back to 0, so no barrier matches it
 # again.  The arrays compact once _LIVE_FRACTION or less of them is live.
 _PARKED = -(2**62)
@@ -159,53 +159,11 @@ def _attacker_counts(keys: np.ndarray, threshold: np.uint64, step: int, rows: in
 
 def _keep(keep: np.ndarray, live: int, *state):
     """Per-walk arrays compacted to keep; a slipped live count fails, not spins."""
-    state = [x[keep] for x in state]
+    keep = np.flatnonzero(keep)  # one scan of the mask, then a take per array
+    state = [x.take(keep) for x in state]
     if state[0].size != live:
         raise RuntimeError(f"{live} walks are live but {state[0].size} were kept")
     return state
-
-
-def _wait_phase(keys: np.ndarray, threshold: np.uint64, z: int) -> np.ndarray:
-    """Flip each stream's coins until its z-th honest block; returns k.
-
-    k[i] counts attacker blocks before stream i's z-th honest block, so the
-    wait used z + k[i] draws.  A stream still short of z honest blocks after
-    DEFAULT_MAX_BLOCKS flips is capped and keeps the k it reached; that is
-    exactly where z + k[i] > DEFAULT_MAX_BLOCKS.  A finished stream's k is
-    recorded, then parked at _PARKED, where k == step - z never holds again;
-    the arrays compact once _LIVE_FRACTION or less of them is live.  With
-    _BATCH_WALKS // 16 or fewer live, each loop draws a block of flips for
-    every stream in the tile, clipped to the cap, and finds each z-th honest one.
-    """
-    k_out = np.zeros(keys.size, dtype=np.int64)
-    pos = np.arange(keys.size)
-    k = np.zeros(keys.size, dtype=np.int64)
-    live, step = keys.size, 0
-    while z > 0 and live and step < DEFAULT_MAX_BLOCKS:  # z = 0 needs no flip
-        if live > _BATCH_WALKS // 16:
-            k += mix64_array(keys + np.uint64(step_offset(step))) < threshold
-            step += 1
-            if step < z:
-                continue
-            done = k == step - z  # step - k honest blocks so far
-        else:
-            rows = min(_block_rows(k.size), DEFAULT_MAX_BLOCKS - step)
-            ks = k + _attacker_counts(keys, threshold, step, rows)
-            at_z = ks == np.arange(step + 1 - z, step + rows + 1 - z)[:, None]
-            step += rows
-            first, cols = at_z.argmax(axis=0), np.arange(k.size)
-            done = at_z[first, cols]
-            k = np.where(done, ks[first, cols], ks[-1])
-        n_done = np.count_nonzero(done)
-        if n_done:
-            k_out[pos[done]] = k[done]
-            k[done] = _PARKED
-            live -= n_done
-            if live <= _LIVE_FRACTION * k.size:
-                keys, pos, k = _keep(k >= 0, live, keys, pos, k)
-    running = k >= 0
-    k_out[pos[running]] = k[running]
-    return k_out
 
 
 def _join(rest, fresh):
@@ -213,88 +171,101 @@ def _join(rest, fresh):
     return tuple(map(np.concatenate, zip(rest, fresh)))
 
 
-def _chase_phase(
-    threshold: np.uint64, tiles, cells: int = 1
-) -> tuple[np.ndarray, int]:
-    """Walk each deficit until it wins at 0, loses at its barrier or makes cap flips.
+def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
+    """Walk each d from above 0 until it reaches 0, its loss barrier or its flip cap.
 
-    tiles yields walks tuples (keys, d, loss_at, cap, cell), each field an
-    array with one entry per walk: stream keys, deficits (int64, updated in
-    place), loss barriers, flip caps and labels in range(cells).  cap is
-    compared only once the step count reaches the smallest live one.  An
-    attacker block lowers a deficit by one and an honest block raises it.
+    tiles yields walks tuples (keys, d, loss_at, cap, label), each field an
+    array with one entry per walk: stream keys, d (int64, updated in place),
+    loss barriers, flip caps and labels.  Each flip adds honest to d, or
+    attacker on an attacker block: (+1, -1) walks a chase's deficit, (-1, 0)
+    counts down the honest blocks a wait still needs.  No flip moves d by
+    more than 1, so no walk of a joined tile reaches 0 before min(d) flips or
+    its barrier before min(loss_at - d), and no end is tested before then;
+    cap is compared only once the step count reaches the smallest live one.
     The next tile joins once _BATCH_WALKS // 8 or fewer walks are left, so
     the few long walks of a near-fair race share a loop of numpy calls with
-    the next tile instead of holding one to themselves.  A walk that wins,
-    loses or spends its cap has its deficit parked at _PARKED, below any
-    barrier; the arrays compact lazily, once _LIVE_FRACTION or less of them
-    is live, or before a join, so a join carries live walks only.  With no
-    tile left and _BATCH_WALKS // 16 or fewer live, the arrays compact and each
-    loop walks a block of flips that ends by the next cap.  Returns (wins per
-    cell, capped walks per cell).
+    the next tile instead of holding one to themselves.  A walk that ends or
+    spends its cap has d parked at _PARKED, below any barrier; the arrays
+    compact lazily, once _LIVE_FRACTION or less of them is live, or before a
+    join, so a join carries live walks only.  With no tile left and
+    _BATCH_WALKS // 16 or fewer live, the arrays compact and each loop walks a
+    block of flips that ends by the next cap.
+
+    Yields (capped, label, flips, d) for the walks that reach 0 (capped False,
+    d = 0) or spend their cap (capped True, d > 0); label is an array, flips
+    and d are arrays or scalars.  flips count from the walk's join, so they
+    are its own unless it was carried into a later tile.  Walks that lose at
+    their barrier are not reported.
     """
+    move = np.add if attacker > honest else np.subtract
     tiles = iter(tiles)
     keys = np.empty(0, dtype=np.uint64)
-    d = loss_at = cap = cell = np.empty(0, dtype=np.int64)
-    wins, capped = np.zeros((2, cells), dtype=np.int64)
+    d = loss_at = cap = label = np.empty(0, dtype=np.int64)
     step = live = 0
-    cap_floor = _FLIP_LIMIT
+    cap_floor = end_floor = _FLIP_LIMIT
     more = True
     while live or more:
         joining = more and live <= _BATCH_WALKS // 8
         blocking = not more and live <= _BATCH_WALKS // 16
         if live < keys.size and (joining or blocking or live <= _LIVE_FRACTION * keys.size):
-            keys, d, loss_at, cap, cell = _keep(d > 0, live, keys, d, loss_at, cap, cell)
+            keys, d, loss_at, cap, label = _keep(d > 0, live, keys, d, loss_at, cap, label)
         if joining:
             fresh = next(tiles, None)
             more = fresh is not None
             if more:
-                rest = (advance_keys(keys, step), d, loss_at, cap - step, cell)
-                keys, d, loss_at, cap, cell = _join(rest, fresh)
-                rest = fresh = None  # the joined arrays replace them
+                if live:
+                    rest = (advance_keys(keys, step), d, loss_at, cap - step, label)
+                    fresh = _join(rest, fresh)
+                keys, d, loss_at, cap, label = fresh
+                fresh = None  # the walk arrays alone hold the tile, so compaction frees it
                 live, step = keys.size, 0
                 cap_floor = np.min(cap, initial=_FLIP_LIMIT)
+                end_floor = np.min(np.minimum(d, loss_at - d), initial=_FLIP_LIMIT)
             continue
         if step >= cap_floor:
             running = d > 0
             spent = running & (cap <= step)
-            capped += np.bincount(cell[spent], minlength=cells)
+            yield True, label[spent], step, d[spent]
             live -= int(np.count_nonzero(spent))
             d[spent] = _PARKED
             cap_floor = np.min(cap, where=running & ~spent, initial=_FLIP_LIMIT)
             continue
         if blocking:
             rows = min(_block_rows(live), cap_floor - step)
-            walk = d + np.arange(1, rows + 1)[:, None]
-            walk -= 2 * _attacker_counts(keys, threshold, step, rows)
+            walk = d + honest * np.arange(1, rows + 1)[:, None]
+            walk += (attacker - honest) * _attacker_counts(keys, threshold, step, rows)
             ends = (walk == 0) | (walk == loss_at)
             ends[-1] = True  # a walk not absorbed in the block stops at its end
-            d = walk[ends.argmax(axis=0), np.arange(live)]
+            last = ends.argmax(axis=0)
+            d = walk[last, np.arange(live)]
+            flips = step + 1 + last
+            step += rows
         else:
-            attacker = mix64_array(keys + np.uint64(step_offset(step))) < threshold
-            d -= attacker  # in place, as -2 * attacker + 1 would allocate twice
-            d -= attacker
-            d += 1
-            rows = 1
-        step += rows
-        caught = d == 0
-        finished = caught | (d == loss_at)
-        n_finished = np.count_nonzero(finished)
-        if n_finished:
-            wins += np.bincount(cell[caught], minlength=cells)
-            d[finished] = _PARKED
-            live -= n_finished
-    return wins, capped
+            hits = mix64_array(keys + np.uint64(step_offset(step))) < threshold
+            for _ in range(abs(attacker - honest)):  # in place: a product would allocate
+                move(d, hits, out=d)
+            d += honest
+            step = flips = step + 1
+            if step < end_floor:
+                continue
+        reached = d == 0
+        ended = reached | (d == loss_at)
+        n_ended = np.count_nonzero(ended)
+        if n_ended:
+            yield False, label[reached], flips[reached] if blocking else flips, 0
+            d[ended] = _PARKED
+            live -= n_ended
 
 
 def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
-    """Races and waits at config, and catch-up cells, in one wait and one chase pass.
+    """Races and waits at config, and catch-up cells, in one pass of chase walks.
 
     races and waits are master seeds; cells are (deficit, budget, master_seed),
-    whose walks win at 0 and lose at deficit + budget.  A wait tile holds the
-    same trial range of every race and wait; each chase walk is labelled with
-    its race or cell.  Returns (a SimulationResult per race, a normalized k
-    histogram per wait, a win fraction per cell).
+    whose walks win at 0 and lose at deficit + budget.  A tile of wait walks
+    holds the same trial range of every race and wait, and is walked as the
+    chase pass reaches it; each chase walk is labelled with its race or cell.
+    Returns (a SimulationResult per race, a normalized k histogram per wait,
+    a win fraction per cell).
     """
     cells = list(cells)
     _check_trials(trials)
@@ -313,7 +284,13 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
 
     def race_tiles():
         for count, keys in _tiles(streams, trials):
-            k = _wait_phase(keys, threshold, z)
+            n = keys.size
+            k = np.zeros(n, dtype=np.int64)
+            # d counts down the z honest blocks due; no barrier above z is reachable.
+            due = (np.full(n, v) for v in (z, z + _FLIP_LIMIT, DEFAULT_MAX_BLOCKS))
+            wait = (keys, *due, np.arange(n))
+            for _, pos, flips, d in _walk(threshold, [wait] if z else [], -1, 0):
+                k[pos] = flips - z + d  # z - d of the flips were honest blocks
             for histogram, stream_k in zip(histograms, k.reshape(-1, count)):
                 for kk, n in enumerate(np.bincount(stream_k)):
                     if n:
@@ -340,8 +317,11 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
         (keys, *(np.repeat(x, count) for x in per_cell))
         for count, keys in _tiles([s for _, _, s in live], trials)
     )
+    ends = np.zeros((2, len(races) + len(live)), dtype=np.int64)  # wins, capped
     tiles = itertools.chain(race_tiles(), cell_tiles)
-    wins, capped = _chase_phase(threshold, tiles, len(races) + len(live))
+    for capped, label, _, _ in _walk(threshold, tiles, 1, -1):
+        ends[int(capped)] += np.bincount(label, minlength=ends.shape[1])
+    wins, capped = ends
     # A race's trials with no chase are won (z < k <= last_k) or capped in the wait.
     results = [
         SimulationResult(

@@ -162,8 +162,8 @@ def component_attribution(
 
     The catch-up runs, the k-distribution run, and the success-rate run use
     distinct seeds derived from master_seed, so the comparisons are
-    statistically independent, though all their walks share one wait pass and
-    one chase pass.
+    statistically independent, though all their walks share one chase pass
+    and, tile by tile, its wait walks.
     """
     if z < 1:
         raise ValueError("z must be >= 1")

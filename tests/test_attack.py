@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import doublespend.model as model_module
 from doublespend import (
@@ -197,9 +199,9 @@ class TestMinConfirmations:
         surplus=st.integers(min_value=1, max_value=2_000),
     )
     def test_budgeted_majority_bounds_that_stop_the_search(self, q, z, surplus):
-        # The 1/2 floor for q >= p, and the Chernoff bound for q > p.
+        # The 1/2 floor for q >= p, 1 - 1/e past z = 0, and the Chernoff bound for q > p.
         p = success(q, z, Variant.BUDGETED, surplus)
-        assert p >= 0.5 - 1e-12
+        assert p >= (1.0 - 1.0 / math.e if z else 0.5) - 1e-12
         if q > 0.5:
             assert p >= 1.0 - math.exp(-z * chernoff_rate(q)) - 1e-12
 
@@ -207,6 +209,19 @@ class TestMinConfirmations:
         # P = 1/2 exactly at (q=0.5, surplus 1, z=0), so a target of 1/2 scans.
         assert success(0.5, 0, Variant.BUDGETED, 1) == 0.5
         assert min_confirmations(MiningPowerSplit(0.5), 0.5, Variant.BUDGETED, 1) == 0
+        # The 1 - 1/e stop comes only after z = 0 is evaluated.
+        power = MiningPowerSplit(0.5000000001)
+        assert min_confirmations(power, 0.5, Variant.BUDGETED, 1) == 0
+
+    def test_near_fair_floor_holds_at_every_searched_depth(self):
+        # With q >= p, P(z) >= 1/2 + P(Poisson(z) > z)/2 at z >= 1 (k > z wins
+        # outright, the rest win at least half the time, and the rate zq/p is at
+        # least z).  Its least value over the search, 1 - 1/e at z = 1, is the
+        # floor that ends a near-fair search after z = 0.
+        z = np.arange(1, model_module.DEFAULT_SEARCH_CAP + 1)
+        floor = 0.5 + stats.poisson.sf(z, z) / 2
+        assert floor[0] == pytest.approx(1.0 - 1.0 / math.e, abs=1e-15)
+        assert np.all(np.diff(floor) >= 0.0)  # so z = 1 gives the least value
 
     @pytest.mark.parametrize("q", [0.6, 0.7, 0.9])
     @pytest.mark.parametrize("surplus", [1, 35, 1000])
@@ -232,7 +247,11 @@ class TestMinConfirmations:
             depths.clear()
             power = MiningPowerSplit(q)
             assert min_confirmations(power, target, Variant.BUDGETED, surplus) == scan
-            # Below 1/2 nothing is evaluated; otherwise z = 0.. up to the answer
-            # or, when there is none, up to the stop.
-            last = -1 if target < 0.5 else stop - 1 if scan is None else scan
+            # Below 1/2 nothing is evaluated and below 1 - 1/e only z = 0;
+            # otherwise z = 0.. up to the answer or, when there is none, the stop.
+            last = (
+                -1 if target < 0.5
+                else 0 if target < 1.0 - 1.0 / math.e
+                else stop - 1 if scan is None else scan
+            )
             assert depths == list(range(last + 1))

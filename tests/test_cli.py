@@ -518,15 +518,25 @@ def test_simulate_has_no_flip_cap_flag():
     assert "--max-blocks" not in run_module("simulate", "--help").stdout
 
 
-@pytest.mark.parametrize("target", ["0.5", "0.1"])
-def test_min_z_for_a_majority_attacker_stops_quickly(target):
-    # The 1/2 floor answers 0.1 at once and the Chernoff stop ends the scan for
-    # 0.5 at z = 8, far below the 10,000 cap.
-    proc = run_module(
-        "min-z", "--q", "0.6", "--variant", "budgeted", "--target", target, timeout=30
-    )
+@pytest.mark.parametrize(
+    ("q", "target"),
+    [
+        pytest.param("0.6", "0.5", id="0.5"),
+        pytest.param("0.6", "0.1", id="0.1"),
+        pytest.param("0.502", "0.5", id="near-fair-0.5"),
+        *(pytest.param(q, None, id=f"near-fair-{q}-defaults")
+          for q in ("0.5", "0.5001", "0.502", "0.505")),
+    ],
+)
+def test_min_z_for_a_majority_attacker_stops_quickly(q, target):
+    # The 1/2 floor answers targets below 1/2 at once, the Chernoff stop ends
+    # q = 0.6's scan for 0.5 at z = 8, and the 1 - 1/e floor ends a near-fair
+    # scan for 0.5 after z = 0 (q = 0.502 took minutes to reach the 10,000 cap).
+    argv = ["--target", target] if target else []
+    proc = run_module("min-z", "--q", q, "--variant", "budgeted", *argv, timeout=30)
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[1] == f"0.6,{target},budgeted,35,inf"
+    targets = [target] if target else ["0.001", "0.01", "0.1", "0.5"]
+    assert proc.stdout.splitlines()[1:] == [f"{q},{t},budgeted,35,inf" for t in targets]
 
 
 @pytest.mark.parametrize(

@@ -604,7 +604,7 @@ sim.{call}
     ("call", "fraction", "batch", "cap", "site"),
     [
         ("empirical_k_distribution(power, 4, 2_000, 1)", 0.75, 1 << 14, 10**6,
-         "_keep(k >= 0"),
+         "_keep(d > 0"),
         ("empirical_catch_up(power, [(2, 10, 3)], 2_000)", 0.75, 1 << 14, 10**6,
          "_keep(d > 0"),
         # Capped walks stay parked until a 128-walk tile joins and compacts them.
