@@ -2,8 +2,11 @@
 
 Subcommands: prob, min-z, simulate, validate.  Output goes to stdout or
 --out PATH as CSV (default) or JSON; CSV uses a header row, '.' decimals and
-LF line endings.  All probability arithmetic lives in the library modules;
-this module only parses flags, dispatches, and formats.  Each handler
+LF line endings.  All probability arithmetic and every rule on q, z, the
+surplus and the trial count live in the library, whose records raise
+ValueError, which main prints as "error: <message>" with exit status 2.  This
+module only parses flags, checks seeds and min-z's targets up front, caps work
+(MAX_Z, MAX_SURPLUS, MAX_TRIALS), dispatches, and formats.  Each handler
 returns a head dict and a list of Blocks, which _render writes as CSV or JSON.
 
 The default seed for simulate/validate is 20090103, overridable with the
@@ -26,7 +29,7 @@ from .model import (
     DEFAULT_BUDGET_SURPLUS, AttackQuery, MiningPowerSplit, Variant, attack_success,
     attack_summands, min_confirmations,
 )
-from .simulate import TrialConfig, run_trials
+from .simulate import TrialConfig, _check_trials, run_trials
 from .validate import SweepGrid, _sweep
 
 ENV_SEED = "DOUBLESPEND_SEED"
@@ -115,16 +118,9 @@ def _parse_q_range(text: str) -> list[float]:
     return [round(start + i * step, 12) for i in range(count)]
 
 
-def _check_q(q: float) -> MiningPowerSplit:
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q!r}")
-    return MiningPowerSplit(q)
-
-
-def _check_range(value: int, name: str, low: int, high: int | None = None) -> int:
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    if high is not None and value > high:
+def _at_most(value: int, name: str, high: int) -> int:
+    """value, unless it is past one of this module's work caps."""
+    if value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
     return value
 
@@ -147,16 +143,12 @@ def _seed(args) -> int:
 
 
 def _cmd_prob(args) -> tuple[dict, list[Block]]:
-    power = _check_q(args.q)
-    z = _check_range(args.z, "z", 0, MAX_Z)
-    variant = Variant(args.variant)
-    if variant is Variant.BUDGETED:
-        _check_range(args.surplus, "--surplus", 1)
-    query = AttackQuery(power, z, variant, args.surplus)
+    power, z = MiningPowerSplit(args.q), _at_most(args.z, "z", MAX_Z)
+    query = AttackQuery(power, z, Variant(args.variant), args.surplus)
     head = {
         "q": args.q,
         "z": z,
-        "variant": variant.value,
+        "variant": args.variant,
         "budget_surplus": args.surplus,
         "probability": attack_success(query),
     }
@@ -181,7 +173,7 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     for t in targets:
         if not 0.0 < t < 1.0:
             raise ValueError(f"targets must be in (0, 1), got {t!r}")
-    powers = [_check_q(q) for q in q_values]
+    powers = [MiningPowerSplit(q) for q in q_values]
     variant = Variant(args.variant)
     head = {"variant": variant.value, "budget_surplus": args.surplus}
     rows = [
@@ -195,15 +187,13 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
 
 
 def _cmd_simulate(args) -> tuple[dict, list[Block]]:
-    power = _check_q(args.q)
-    z = _check_range(args.z, "z", 0)
-    _check_range(args.surplus, "--surplus", 1)
-    _check_range(args.trials, "--trials", 1, MAX_TRIALS)
+    config = TrialConfig(MiningPowerSplit(args.q), args.z, args.surplus)
+    _check_trials(_at_most(args.trials, "--trials", MAX_TRIALS))
     seed = _seed(args)
-    result = run_trials(TrialConfig(power, z, args.surplus), args.trials, seed)
+    result = run_trials(config, args.trials, seed)
     head = {
         "q": args.q,
-        "z": z,
+        "z": args.z,
         "budget_surplus": args.surplus,
         "trials": args.trials,
         "wins": result.wins,
@@ -232,8 +222,8 @@ _COMPARISON = ("component", "label", "observed", "expected", "std_err", "z_score
 def _cmd_validate(args) -> tuple[dict, list[Block]]:
     q_values = _parse_list(args.q_values, "--q-values")
     z_values = _parse_list(args.z_values, "--z-values", int)
-    _check_range(args.trials, "--trials", 1, MAX_TRIALS)
-    _check_range(args.surplus, "--surplus", 1, MAX_SURPLUS)
+    _at_most(args.trials, "--trials", MAX_TRIALS)
+    _at_most(args.surplus, "--surplus", MAX_SURPLUS)
     seed = _seed(args)
     variant = Variant(args.variant)
     grid = SweepGrid(
@@ -244,7 +234,7 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
         trials=args.trials,
         master_seed=seed,
     )
-    _check_range(grid.z_values[-1], "z", 0, MAX_Z)
+    _at_most(grid.z_values[-1], "z", MAX_Z)
     head = {
         "variant": variant.value,
         "budget_surplus": grid.budget_surplus,

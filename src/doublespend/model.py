@@ -84,7 +84,7 @@ class MiningPowerSplit:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.q, (int, float)) and 0.0 < self.q < 1.0):
-            raise ValueError(f"attacker power must be in (0, 1), got {self.q!r}")
+            raise ValueError(f"q must be in (0, 1), got {self.q!r}")
 
     @property
     def p(self) -> float:
@@ -136,7 +136,7 @@ class AttackQuery:
         if self.z < 0:
             raise ValueError("confirmation depth z must be >= 0")
         if self.variant is Variant.BUDGETED and self.budget_surplus < 1:
-            raise ValueError("budgeted variant needs budget_surplus >= 1")
+            raise ValueError("budget_surplus must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -342,6 +342,7 @@ def min_confirmations(
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
+    AttackQuery(power, 0, variant, budget_surplus)  # its checks come before any answer
     if power.p <= power.q and (variant is not Variant.BUDGETED or target < 0.5):
         return None
     r = power.q / power.p

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MiningPowerSplit, DEFAULT_BUDGET_SURPLUS
+from .model import AttackQuery, MiningPowerSplit, Variant, DEFAULT_BUDGET_SURPLUS
 from .rng import (
     advance_keys,
     bernoulli_threshold,
@@ -78,7 +78,7 @@ _LIVE_FRACTION = 0.75
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Parameters of one simulated race.
+    """Parameters of one simulated race: the budgeted AttackQuery, whose checks it runs.
 
     run_trials caps each trial at DEFAULT_MAX_BLOCKS coin flips, read at call
     time, which a race with any sane budget absorbs long before.  Capped
@@ -90,10 +90,12 @@ class TrialConfig:
     budget_surplus: int = DEFAULT_BUDGET_SURPLUS
 
     def __post_init__(self) -> None:
-        if self.z < 0:
-            raise ValueError("confirmation depth z must be >= 0")
-        if self.budget_surplus < 1:
-            raise ValueError("budget_surplus must be >= 1")
+        AttackQuery(self.power, self.z, Variant.BUDGETED, self.budget_surplus)
+
+
+def _binomial_se(prob: float, trials: int) -> float:
+    """Standard error of a success fraction prob over trials draws."""
+    return math.sqrt(prob * (1.0 - prob) / trials)
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ class SimulationResult:
 
     @property
     def std_err(self) -> float:
-        r = self.success_rate
-        return math.sqrt(r * (1.0 - r) / self.trials)
+        return _binomial_se(self.success_rate, self.trials)
 
     @property
     def mean_k(self) -> float:
@@ -269,6 +270,8 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
     """
     cells = list(cells)
     _check_trials(trials)
+    if waits and config.z < 1:
+        raise ValueError("z must be >= 1")  # a wait with no honest block due has no k
     for deficit, budget, _ in cells:
         if deficit < 0:
             raise ValueError("deficit must be >= 0")
@@ -364,8 +367,6 @@ def empirical_k_distribution(
     Wait-phase-only simulation.  Under the per-block coin-flip model the true
     law of k is negative binomial, not Poisson; this instrument is what makes
     that gap observable.  Trials capped at DEFAULT_MAX_BLOCKS flips count at
-    the k they reached, so the weights still sum to one.
+    the k they reached, so the weights still sum to one.  z must be >= 1.
     """
-    if z < 1:
-        raise ValueError("z must be >= 1")
     return _simulate(TrialConfig(power, z), trials, waits=[master_seed])[1][0]

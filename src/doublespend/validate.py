@@ -35,7 +35,7 @@ from .model import (
     DEFAULT_BUDGET_SURPLUS,
 )
 from .rng import derive_seed
-from .simulate import TrialConfig, _simulate
+from .simulate import TrialConfig, _binomial_se, _check_trials, _simulate
 
 __all__ = [
     "AttributionReport",
@@ -50,7 +50,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes and settings of a validation sweep."""
+    """Axes and settings of a validation sweep; every cell's TrialConfig and
+    the trial count pass their checks on construction, before any cell runs."""
 
     q_values: tuple[float, ...]
     z_values: tuple[int, ...]
@@ -62,17 +63,15 @@ class SweepGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q_values", tuple(self.q_values))
         object.__setattr__(self, "z_values", tuple(self.z_values))
+        least_z = min(self.z_values, default=0)
+        for q in self.q_values:  # the owners' checks first: a nan q sorts anywhere
+            TrialConfig(MiningPowerSplit(q), least_z, self.budget_surplus)
+        _check_trials(self.trials)
         for name, values in ("q_values", self.q_values), ("z_values", self.z_values):
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             if list(values) != sorted(set(values)):
                 raise ValueError(f"{name} must be ascending and duplicate-free")
-        if not all(0.0 < q < 1.0 for q in self.q_values):
-            raise ValueError("q_values must lie in (0, 1)")
-        if self.z_values[0] < 0:
-            raise ValueError("z_values must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,6 @@ class AttributionReport:
         ]
 
 
-def _binomial_se(prob: float, trials: int) -> float:
-    return math.sqrt(max(prob * (1.0 - prob), 0.0) / trials)
-
-
 def component_attribution(
     power: MiningPowerSplit,
     z: int,
@@ -163,10 +158,8 @@ def component_attribution(
     The catch-up runs, the k-distribution run, and the success-rate run use
     distinct seeds derived from master_seed, so the comparisons are
     statistically independent, though all their walks share one chase pass
-    and, tile by tile, its wait walks.
+    and, tile by tile, its wait walks.  z must be >= 1.
     """
-    if z < 1:
-        raise ValueError("z must be >= 1")
     return _cell(TrialConfig(power, z, budget_surplus), trials, [], master_seed)[1]
 
 

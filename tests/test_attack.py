@@ -192,6 +192,14 @@ class TestMinConfirmations:
             with pytest.raises(ValueError):
                 min_confirmations(MiningPowerSplit(0.3), target)
 
+    # (0.6, 0.1) is answered by the 1/2 floor, (0.502, 0.5) by the 1 - 1/e
+    # floor and (0.3, 0.5) by the scan; a zero surplus is rejected before each.
+    @pytest.mark.parametrize(("q", "target"), [(0.6, 0.1), (0.502, 0.5), (0.3, 0.5)])
+    def test_rejects_a_budgeted_zero_surplus_before_any_rule_answers(self, q, target):
+        with pytest.raises(ValueError) as excinfo:
+            min_confirmations(MiningPowerSplit(q), target, Variant.BUDGETED, 0)
+        assert str(excinfo.value) == "budget_surplus must be >= 1"
+
     @settings(max_examples=150, deadline=None)
     @given(
         q=st.floats(min_value=0.5, max_value=0.99),

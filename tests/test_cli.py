@@ -1,14 +1,19 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import doublespend.cli as cli_module
+import doublespend.model as model_module
+import doublespend.simulate as simulate_module
+import doublespend.validate as validate_module
 from doublespend.cli import (
     MAX_Q_RANGE_VALUES,
     MAX_SURPLUS,
@@ -726,9 +731,81 @@ def test_an_empty_list_flag_exits_2(capsys, argv, message):
         (["min-z", "--q-range", "0.2:0.1:0.1"], "--q-range: need step > 0 and stop >= start"),
         (["min-z", "--q-range", "0.1:0.2:0"], "--q-range: need step > 0 and stop >= start"),
         (["prob", "--q", "0.3", "--z", "2", "--variant", "budgeted", "--surplus", "0"],
-         "--surplus must be >= 1, got 0"),
+         "budget_surplus must be >= 1"),
+        # The 1/2 floor answers this query, but only after the surplus is checked.
+        (["min-z", "--q", "0.6", "--variant", "budgeted", "--surplus", "0",
+          "--target", "0.1"],
+         "budget_surplus must be >= 1"),
     ],
-    ids=["malformed-list", "malformed-range", "reversed-range", "zero-step", "surplus-0"],
+    ids=["malformed-list", "malformed-range", "reversed-range", "zero-step", "surplus-0",
+         "min-z-surplus-0"],
 )
 def test_malformed_flags_exit_2(capsys, argv, message):
     assert handler_error(capsys, *argv) == message
+
+
+# A value obeying each rule on a CLI input, a value breaking it, and the
+# message its owner raises for the breaking one.
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+OUTSIDE_UNIT = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan))
+RULES = {
+    "q": (UNIT, OUTSIDE_UNIT, lambda q: f"q must be in (0, 1), got {q!r}"),
+    "target": (UNIT, OUTSIDE_UNIT, lambda t: f"targets must be in (0, 1), got {t!r}"),
+    "z": (st.integers(0, MAX_Z), st.integers(max_value=-1),
+          lambda z: "confirmation depth z must be >= 0"),
+    "surplus": (st.integers(1, MAX_SURPLUS), st.integers(max_value=0),
+                lambda s: "budget_surplus must be >= 1"),
+    "trials": (st.integers(1, MAX_TRIALS), st.integers(max_value=0),
+               lambda n: "trials must be >= 1"),
+}
+# Each subcommand's ruled flags: (flag, rule, whether it takes a list).
+RULED_FLAGS = {
+    "prob": (("--q", "q", False), ("--z", "z", False), ("--surplus", "surplus", False)),
+    "min-z": (("--q", "q", True), ("--target", "target", True),
+              ("--surplus", "surplus", False)),
+    "simulate": (("--q", "q", False), ("--z", "z", False), ("--surplus", "surplus", False),
+                 ("--trials", "trials", False)),
+    "validate": (("--q-values", "q", True), ("--z-values", "z", True),
+                 ("--surplus", "surplus", False), ("--trials", "trials", False)),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_rule_breaking_argv_exit_2_before_any_work(capsys, monkeypatch, data):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule-breaking argv reached the model or the simulator")
+
+    for module in (cli_module, model_module, validate_module):
+        monkeypatch.setattr(module, "attack_success", refuse)
+    for module in (simulate_module, validate_module):
+        monkeypatch.setattr(module, "_simulate", refuse)
+    monkeypatch.delenv("DOUBLESPEND_SEED", raising=False)
+    command = data.draw(st.sampled_from(sorted(RULED_FLAGS)))
+    flags = RULED_FLAGS[command]
+    broken = data.draw(st.sets(st.sampled_from([flag for flag, _, _ in flags]), min_size=1))
+    argv, messages = [command], set()
+    for flag, rule, is_list in flags:
+        valid, bad, message = RULES[rule]
+        if flag not in broken:  # a list ascends without duplicates, as validate's axes must
+            values = st.lists(valid, min_size=1, max_size=3 if is_list else 1, unique=True)
+            values = sorted(data.draw(values))
+        elif is_list:
+            bad_values = data.draw(st.lists(bad, min_size=1, max_size=2))
+            messages.update(map(message, bad_values))
+            values = data.draw(st.lists(valid, max_size=2)) + bad_values
+            values = data.draw(st.permutations(values))
+        else:
+            values = [data.draw(bad)]
+            messages.add(message(values[0]))
+        argv.append(f"{flag}={','.join(map(repr, values))}")
+    if command != "simulate":  # prob and min-z have a surplus rule only when budgeted
+        budgeted = "--surplus" in broken and command != "validate"
+        variants = ["budgeted"] if budgeted else [v.value for v in Variant]
+        argv.append(f"--variant={data.draw(st.sampled_from(variants))}")
+    if command in ("simulate", "validate"):
+        argv.append("--seed=1")
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err in {f"error: {message}\n" for message in messages}

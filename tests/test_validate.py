@@ -37,11 +37,20 @@ class TestSweepGrid:
             SweepGrid((0.1,), (-1, 2), master_seed=0)
         with pytest.raises(ValueError):
             SweepGrid((), (1,), master_seed=0)
+        with pytest.raises(ValueError):
+            SweepGrid((0.1, float("nan")), (1,), master_seed=0)
+        for variant in Variant:  # every cell's simulated race is budgeted
+            with pytest.raises(ValueError) as excinfo:
+                SweepGrid((0.1,), (1,), variant, budget_surplus=0)
+            assert str(excinfo.value) == "budget_surplus must be >= 1"
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError) as excinfo:
             SweepGrid((0.1,), (1,), trials=0)
         assert str(excinfo.value) == "trials must be >= 1"
+        with pytest.raises(ValueError) as excinfo:
+            SweepGrid((0.1,), (1,), trials=2**64)
+        assert str(excinfo.value) == "trials must be < 2**64"
 
 
 def test_z_score_at_zero_standard_error():
