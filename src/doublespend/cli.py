@@ -5,9 +5,10 @@ Subcommands: prob, min-z, simulate, validate.  Output goes to stdout or
 LF line endings.  All probability arithmetic and every rule on q, z, the
 surplus and the trial count live in the library, whose records raise
 ValueError, which main prints as "error: <message>" with exit status 2.  This
-module only parses flags, checks seeds and min-z's targets up front, caps work
-(MAX_Z, MAX_SURPLUS, MAX_TRIALS), dispatches, and formats.  Each handler
-returns a head dict and a list of Blocks, which _render writes as CSV or JSON.
+module only parses flags, checks seeds, runs the model's target check over
+every min-z target before the first search, caps work (MAX_Z, MAX_SURPLUS,
+MAX_TRIALS), dispatches, and formats.  Each handler returns a head dict and a
+list of Blocks, which _render writes as CSV or JSON.
 
 The default seed for simulate/validate is 20090103, overridable with the
 DOUBLESPEND_SEED environment variable, read on each simulate or validate call
@@ -26,8 +27,8 @@ import sys
 from typing import NamedTuple
 
 from .model import (
-    DEFAULT_BUDGET_SURPLUS, AttackQuery, MiningPowerSplit, Variant, attack_success,
-    attack_summands, min_confirmations,
+    DEFAULT_BUDGET_SURPLUS, AttackQuery, MiningPowerSplit, Variant, _check_target,
+    attack_success, attack_summands, min_confirmations,
 )
 from .simulate import TrialConfig, _check_trials, run_trials
 from .validate import SweepGrid, _sweep
@@ -170,9 +171,8 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     targets = (
         DEFAULT_TARGETS if args.target is None else _parse_list(args.target, "--target")
     )
-    for t in targets:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"targets must be in (0, 1), got {t!r}")
+    for target in targets:
+        _check_target(target)
     powers = [MiningPowerSplit(q) for q in q_values]
     variant = Variant(args.variant)
     head = {"variant": variant.value, "budget_surplus": args.surplus}

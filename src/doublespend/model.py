@@ -205,11 +205,16 @@ def catch_up_limited(z: int, budget: int, power: MiningPowerSplit) -> float:
     (the race is already lost before the first coin flip), and z == 0 returns
     exactly 1.0.  Converges to catch_up_unlimited as the budget grows.
     """
+    _check_catch_up(z, budget)
+    return ruin_win_probability(RuinGameSpec(budget, budget + z, power.q))
+
+
+def _check_catch_up(z: int, budget: int) -> None:
+    """The rule on a catch-up game, modelled here and simulated by empirical_catch_up."""
     if z < 0:
         raise ValueError("deficit z must be >= 0")
     if budget < 1:
         raise ValueError("budget must be >= 1; a bankrupt gambler cannot play")
-    return ruin_win_probability(RuinGameSpec(budget, budget + z, power.q))
 
 
 def poisson_rate(z: int, power: MiningPowerSplit) -> float:
@@ -324,6 +329,12 @@ def attack_success(query: AttackQuery) -> float:
     return _as_probability(math.fsum(row.product for row in rows) + tail)
 
 
+def _check_target(target: float) -> None:
+    """The rule on a min_confirmations target, which the CLI runs over every target first."""
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be in (0, 1), got {target!r}")
+
+
 def min_confirmations(
     power: MiningPowerSplit,
     target: float,
@@ -340,8 +351,7 @@ def min_confirmations(
     (Chernoff), so the scan stops once that bound clears the target, or past
     DEFAULT_SEARCH_CAP.
     """
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {target!r}")
+    _check_target(target)
     AttackQuery(power, 0, variant, budget_surplus)  # its checks come before any answer
     if power.p <= power.q and (variant is not Variant.BUDGETED or target < 0.5):
         return None

@@ -15,8 +15,9 @@ above 0 until it reaches 0, its loss barrier or its flip cap.  A wait counts
 down the z honest blocks due from d = z, so its k is flips - z + d; a chase
 walks the deficit.  One engine, _simulate, runs races (the wait, then a chase
 that continues trial t's stream at draw z + k), waits alone and catch-up
-cells (chases alone): a wait walk per tile of every wait, and one chase walk
-over the races' chases and then the cells' walks.  run_trials is one race,
+cells (chases alone): over a range of trials, _counts walks each tile of
+every wait, and one chase pass over the races' chases and then the cells'
+walks, and returns integer counts only.  run_trials is one race,
 empirical_k_distribution one wait and empirical_catch_up a list of cells;
 validate feeds a grid cell's races, wait and cells to one call.  The kernel
 takes walks in tiles of at most _BATCH_WALKS, so its per-walk arrays stay
@@ -27,24 +28,40 @@ drawn for but never matched again, until a quarter of them are parked or a
 tile joins, and only then do they compact.  Once few walks are left, the
 kernel draws a block of flips per walk in one call and finds each walk's end
 in their cumulative sums; later draws are wasted.
-Trial t draws its coins from a counter-based substream keyed by
+
+A call of more than one tile of walks splits its trials into contiguous
+ranges, one per CPU in os.sched_getaffinity(0) (at most one per tile), and
+the engine sums their counts.  The calling process counts the first range,
+and an os.fork child each other one, holding its own tiles in memory and
+sending its counts back pickled through a pipe; every child is reaped before
+the call returns or raises.  `taskset -c 0` pins a run to one CPU, and so to
+one process; where os.sched_getaffinity is missing, every call runs in one.
+numpy's import already starts a second thread, so Python 3.12+ warns on
+os.fork; the children run only numpy ufuncs and pickle, then leave with
+os._exit.  Trial t draws its coins from a counter-based substream keyed by
 (master_seed, t), so results are bit-identical for a given
 
     (config, trials, master_seed)
 
-at any tile size, execution order, or parallelism.  Aggregation is counts
-only, hence order-insensitive.
+at any tile size, execution order, or CPU count.  Aggregation is counts
+only, hence order-insensitive, and histogram keys ascend.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .model import AttackQuery, MiningPowerSplit, Variant, DEFAULT_BUDGET_SURPLUS
+from .model import (
+    AttackQuery, MiningPowerSplit, Variant, DEFAULT_BUDGET_SURPLUS, _check_catch_up,
+)
 from .rng import (
     advance_keys,
     bernoulli_threshold,
@@ -133,18 +150,20 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be >= 1" if trials < 1 else "trials must be < 2**64")
 
 
-def _tiles(seeds: list[int], trials: int):
+def _tiles(seeds: list[int], start: int, stop: int):
     """(count, keys) per tile: the stream keys of one trial range of every seed.
 
-    Ranges hold at most _BATCH_WALKS walks across the seeds, but at least one
-    trial, and differ in size by at most one, so no small leftover tile pays a
-    full tile's steps.  No seeds, no tiles.
+    The ranges split trials start..stop - 1; each holds at most _BATCH_WALKS
+    walks across the seeds, but at least one trial, and they differ in size by
+    at most one, so no small leftover tile pays a full tile's steps.  No seeds
+    or no trials, no tiles.
     """
+    trials = stop - start
     tiles = -(-trials // max(1, _BATCH_WALKS // len(seeds))) if seeds else 0
     for i in range(tiles):
-        start = i * trials // tiles
-        count = (i + 1) * trials // tiles - start
-        yield count, np.concatenate([trial_keys(s, count, start=start) for s in seeds])
+        first = start + i * trials // tiles
+        count = start + (i + 1) * trials // tiles - first
+        yield count, np.concatenate([trial_keys(s, count, start=first) for s in seeds])
 
 
 def _block_rows(walks: int) -> int:
@@ -258,35 +277,25 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
             live -= n_ended
 
 
-def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
-    """Races and waits at config, and catch-up cells, in one pass of chase walks.
+def _counts(config: TrialConfig, streams, race_count: int, cells, start: int, stop: int):
+    """Integer counts from trials start..stop - 1 of the streams and cells.
 
-    races and waits are master seeds; cells are (deficit, budget, master_seed),
-    whose walks win at 0 and lose at deficit + budget.  A tile of wait walks
-    holds the same trial range of every race and wait, and is walked as the
-    chase pass reaches it; each chase walk is labelled with its race or cell.
-    Returns (a SimulationResult per race, a normalized k histogram per wait,
-    a win fraction per cell).
+    streams are master seeds, the first race_count of them races and the rest
+    waits; cells are (deficit, budget, master_seed) with deficit >= 1.  A tile
+    of wait walks holds the same trial range of every stream, and is walked
+    as the chase pass reaches it; each chase walk is labelled with its race or
+    cell.  Returns (a bincount of the wait's k per stream, and an array of
+    wins and of capped trials per race and cell).
     """
-    cells = list(cells)
-    _check_trials(trials)
-    if waits and config.z < 1:
-        raise ValueError("z must be >= 1")  # a wait with no honest block due has no k
-    for deficit, budget, _ in cells:
-        if deficit < 0:
-            raise ValueError("deficit must be >= 0")
-        if deficit and budget < 1:
-            raise ValueError("budget must be >= 1")
     # No run makes _FLIP_LIMIT flips, so larger values act alike; clamped, the
     # chase's barriers fit int64.
     z, surplus = (min(v, _FLIP_LIMIT) for v in (config.z, config.budget_surplus))
     threshold = np.uint64(bernoulli_threshold(config.power.q))
-    streams = [*races, *waits]
-    histograms: list[dict[int, int]] = [{} for _ in streams]
+    k_counts = [np.zeros(0, dtype=np.int64) for _ in streams]
     last_k = DEFAULT_MAX_BLOCKS - z  # a wait that reaches a larger k is capped
 
     def race_tiles():
-        for count, keys in _tiles(streams, trials):
+        for count, keys in _tiles(streams, start, stop):
             n = keys.size
             k = np.zeros(n, dtype=np.int64)
             # d counts down the z honest blocks due; no barrier above z is reachable.
@@ -294,11 +303,9 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
             wait = (keys, *due, np.arange(n))
             for _, pos, flips, d in _walk(threshold, [wait] if z else [], -1, 0):
                 k[pos] = flips - z + d  # z - d of the flips were honest blocks
-            for histogram, stream_k in zip(histograms, k.reshape(-1, count)):
-                for kk, n in enumerate(np.bincount(stream_k)):
-                    if n:
-                        histogram[kk] = histogram.get(kk, 0) + int(n)
-            label = np.repeat(np.arange(len(races)), count)  # the races lead the tile
+            for i, stream_k in enumerate(k.reshape(-1, count)):
+                k_counts[i] = _sum_counts([k_counts[i], np.bincount(stream_k)])
+            label = np.repeat(np.arange(race_count), count)  # the races lead the tile
             # A trial capped in the wait may already have k > z; it is capped, not won.
             chase = k[: label.size] <= min(z, last_k)
             kc = k[: label.size][chase]
@@ -310,32 +317,133 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
                 label[chase],
             )
 
-    live = [cell for cell in cells if cell[0]]
     # Clamped as the races are: past _FLIP_LIMIT no barrier is reachable.
-    start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in live], dtype=np.int64)
-    loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in live]
-    cap = np.full(len(live), DEFAULT_MAX_BLOCKS)
-    per_cell = (start_d, loss_at, cap, len(races) + np.arange(len(live)))
+    start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in cells], dtype=np.int64)
+    loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in cells]
+    cap = np.full(len(cells), DEFAULT_MAX_BLOCKS)
+    per_cell = (start_d, loss_at, cap, race_count + np.arange(len(cells)))
     cell_tiles = (
         (keys, *(np.repeat(x, count) for x in per_cell))
-        for count, keys in _tiles([s for _, _, s in live], trials)
+        for count, keys in _tiles([s for _, _, s in cells], start, stop)
     )
-    ends = np.zeros((2, len(races) + len(live)), dtype=np.int64)  # wins, capped
+    ends = np.zeros((2, race_count + len(cells)), dtype=np.int64)  # wins, capped
     tiles = itertools.chain(race_tiles(), cell_tiles)
     for capped, label, _, _ in _walk(threshold, tiles, 1, -1):
         ends[int(capped)] += np.bincount(label, minlength=ends.shape[1])
-    wins, capped = ends
     # A race's trials with no chase are won (z < k <= last_k) or capped in the wait.
+    settled = max(last_k + 1, 0)
+    for i, k in enumerate(k_counts[:race_count]):
+        ends[:, i] += k[z + 1 : settled].sum(), k[settled:].sum()
+    return k_counts, ends
+
+
+def _sum_counts(counts) -> np.ndarray:
+    """Element-wise sum of a sequence of int64 count arrays of any lengths."""
+    total = np.zeros(max((c.size for c in counts), default=0), dtype=np.int64)
+    for c in counts:
+        total[: c.size] += c
+    return total
+
+
+def _sharded(count, bounds: list[int]) -> list:
+    """count(start, stop) for each pair of neighbouring bounds, in order.
+
+    This process counts the first range and a forked child each other one.
+    A child pickles its counts, or the exception it raised with its
+    traceback, into a pipe and leaves with os._exit, so none of this
+    process's clean-up runs twice.  Every child is reaped before this
+    returns or raises; if this process's own range raises, the children are
+    killed first.  A child's exception is raised here, chained to its
+    traceback.
+    """
+    children = []  # (pid, read end of its pipe)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    _child(count, start, stop, write)
+            except OSError:  # no child to read from
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, read))
+        parts = [count(bounds[0], bounds[1])]
+    except BaseException:
+        import signal  # a 1 ms import that only a failing call needs
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        ended = []
+        for pid, read in children:
+            with open(read, "rb") as pipe:
+                ended.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
+    for pid, payload, status in ended:
+        if status:
+            raise RuntimeError(f"shard worker {pid} ended with wait status {status}")
+        trace, value = pickle.loads(payload)
+        if trace:
+            raise value from RuntimeError(f"in shard worker {pid}:\n{trace}")
+        parts.append(value)
+    return parts
+
+
+def _child(count, start: int, stop: int, write: int) -> NoReturn:
+    """Pickle (None, count(start, stop)), or (traceback, exception), into fd write.
+
+    Exits with status 0 once the message is written, and 1 if it cannot be.
+    """
+    status = 1
+    try:
+        try:
+            message = None, count(start, stop)
+        except BaseException as exc:
+            import traceback  # only a failing worker needs it
+
+            message = traceback.format_exc(), exc
+        with open(write, "wb") as pipe:
+            pickle.dump(message, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
+    """Races and waits at config, and catch-up cells, in one pass of chase walks.
+
+    races and waits are master seeds; cells are (deficit, budget, master_seed),
+    whose walks win at 0 and lose at deficit + budget.  _counts walks them.
+    A call of more than one tile of walks splits its trials into contiguous
+    ranges, one per usable CPU, which _sharded counts in forked workers; each
+    trial draws from its own stream, so the summed counts are the same at any
+    split.  Returns (a SimulationResult per race, a normalized k histogram per
+    wait, a win fraction per cell).
+    """
+    cells = list(cells)
+    _check_trials(trials)
+    if waits and config.z < 1:
+        raise ValueError("z must be >= 1")  # a wait with no honest block due has no k
+    for deficit, budget, _ in cells:
+        _check_catch_up(deficit, budget)
+    streams, live = [*races, *waits], [cell for cell in cells if cell[0]]
+    tiles = -(-trials * (len(streams) + len(live)) // _BATCH_WALKS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    shards = max(1, min(cpus, trials, tiles))
+    count = functools.partial(_counts, config, streams, len(races), live)
+    parts = _sharded(count, [i * trials // shards for i in range(shards + 1)])
+    k_counts = [_sum_counts(c) for c in zip(*(k for k, _ in parts))]
+    wins, capped = sum(ends for _, ends in parts)
+    # Keys ascend, so the histograms do not depend on the tiles or the split.
+    histograms = [{int(k): int(c[k]) for k in np.flatnonzero(c)} for c in k_counts]
     results = [
-        SimulationResult(
-            config, trials, int(w) + sum(n for kk, n in h.items() if z < kk <= last_k),
-            h, seed, int(c) + sum(n for kk, n in h.items() if kk > last_k),
-        )
+        SimulationResult(config, trials, int(w), h, seed, int(c))
         for seed, w, c, h in zip(races, wins, capped, histograms)
     ]
-    k_dists = [
-        {kk: n / trials for kk, n in sorted(h.items())} for h in histograms[len(races):]
-    ]
+    k_dists = [{kk: n / trials for kk, n in h.items()} for h in histograms[len(races):]]
     cell_rates = iter(int(w) / trials for w in wins[len(races):])
     return results, k_dists, [next(cell_rates) if d else 1.0 for d, _, _ in cells]
 
@@ -352,9 +460,10 @@ def empirical_catch_up(power: MiningPowerSplit, cells, trials: int) -> list[floa
     substream (master_seed, t), so a cell's fraction is the same alone or
     among others.  All cells' walks share one chase pass.  Validates the
     catch-up component of the model independently of the Poisson component.
-    A deficit of 0 is an immediate win.  Walks still running after
-    DEFAULT_MAX_BLOCKS flips count as losses; near-fair walks with a large
-    budget do reach it (q=0.49 with a budget past 1e5, for one).
+    A cell obeys catch_up_limited's rule (deficit >= 0, budget >= 1), checked
+    by the same code; a deficit of 0 is an immediate win.  Walks still
+    running after DEFAULT_MAX_BLOCKS flips count as losses; near-fair walks
+    with a large budget do reach it (q=0.49 with a budget past 1e5, for one).
     """
     return _simulate(TrialConfig(power, 0), trials, cells=cells)[2]
 

@@ -160,7 +160,7 @@ class TestMinZ:
     def test_rejects_bad_target(self, capsys):
         code, _, err = run_cli("min-z", "--q", "0.1", "--target", "2", capsys=capsys)
         assert code == 2
-        assert "targets must be in (0, 1)" in err
+        assert "target must be in (0, 1)" in err
 
     @pytest.mark.parametrize(
         "q_range", ["0.1:inf:0.1", "-inf:0.2:0.1", "0.1:0.2:nan", "nan:0.2:0.1"]
@@ -750,7 +750,7 @@ UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 OUTSIDE_UNIT = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan))
 RULES = {
     "q": (UNIT, OUTSIDE_UNIT, lambda q: f"q must be in (0, 1), got {q!r}"),
-    "target": (UNIT, OUTSIDE_UNIT, lambda t: f"targets must be in (0, 1), got {t!r}"),
+    "target": (UNIT, OUTSIDE_UNIT, lambda t: f"target must be in (0, 1), got {t!r}"),
     "z": (st.integers(0, MAX_Z), st.integers(max_value=-1),
           lambda z: "confirmation depth z must be >= 0"),
     "surplus": (st.integers(1, MAX_SURPLUS), st.integers(max_value=0),

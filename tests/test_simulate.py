@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -73,8 +74,17 @@ def cap_kinds(records, z, max_blocks):
     return seen
 
 
+def set_cpus(monkeypatch, cpus):
+    """Make the simulator see cpus usable CPUs, so a call of more tiles runs in that many."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def counting_joins(monkeypatch):
-    """Patch _join to log how many walks each tile join carries; returns the log."""
+    """Patch _join to log how many walks each tile join carries; returns the log.
+
+    A forked shard's joins would not reach the log, so calls run in one shard.
+    """
+    set_cpus(monkeypatch, 1)
     carried = []
     join = simulate_module._join
 
@@ -256,6 +266,14 @@ class TestRunTrials:
         chunked = run_trials(config, 10_000, 7)
         assert whole == chunked
 
+    @pytest.mark.parametrize("width", [128, 1 << 14])
+    def test_histogram_keys_ascend(self, monkeypatch, width):
+        config = TrialConfig(MiningPowerSplit(0.35), 3)
+        whole = run_trials(config, 10_000, 7)
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
+        histogram = run_trials(config, 10_000, 7).k_histogram
+        assert list(histogram) == sorted(histogram) and histogram == whole.k_histogram
+
     def test_histogram_accounts_for_every_trial(self):
         result = run_trials(TrialConfig(MiningPowerSplit(0.2), 4), 25_000, 3)
         assert sum(result.k_histogram.values()) == result.trials
@@ -377,15 +395,19 @@ class TestEmpiricalCatchUp:
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
         assert empirical_catch_up(MiningPowerSplit(0.4), cells, 300) == whole
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
+        power = MiningPowerSplit(0.3)
+        monkeypatch.setattr(simulate_module, "_sharded", must_not_run)  # checks come first
+        # A cell that breaks catch_up_limited's rule gets that rule's message.
+        for cells in ([(-1, 10, 0)], [(1, 0, 0)], [(0, 0, 0)], [(1, 5, 0), (2, 0, 1)]):
+            bad = next((d, b) for d, b, _ in cells if d < 0 or b < 1)
+            with pytest.raises(ValueError) as model:
+                catch_up_limited(*bad, power)
+            with pytest.raises(ValueError) as simulated:
+                empirical_catch_up(power, cells, 100_000)
+            assert str(simulated.value) == str(model.value)
         with pytest.raises(ValueError):
-            empirical_catch_up(MiningPowerSplit(0.3), [(-1, 10, 0)], 100)
-        with pytest.raises(ValueError):
-            empirical_catch_up(MiningPowerSplit(0.3), [(1, 0, 0)], 100)
-        with pytest.raises(ValueError):
-            empirical_catch_up(MiningPowerSplit(0.3), [(1, 5, 0), (2, 0, 1)], 100)
-        with pytest.raises(ValueError):
-            empirical_catch_up(MiningPowerSplit(0.3), [(1, 5, 0)], 0)
+            empirical_catch_up(power, [(1, 5, 0)], 0)
 
 
 class TestEmpiricalKDistribution:
@@ -490,6 +512,7 @@ class TestBlockedTail:
         autouse=True, params=[1, 3, None], ids=["width-1", "width-3", "width-default"]
     )
     def blocks(self, request, monkeypatch):
+        set_cpus(monkeypatch, 1)  # a forked shard's blocks would not reach the log
         if request.param:
             monkeypatch.setattr(simulate_module, "_block_rows", lambda walks: request.param)
         log = []
@@ -547,6 +570,10 @@ class TestBlockedTail:
         assert blocks
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called where no call may be made")
+
+
 def no_keys(*args, **kwargs):
     raise AssertionError("drew trial keys before checking the trial count")
 
@@ -575,6 +602,100 @@ class TestTrialBound:
         monkeypatch.setattr(simulate_module, "trial_keys", no_keys)
         with pytest.raises(ValueError, match=message):
             self.ENTRY_POINTS[entry](trials)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def broken_counts(broken_shard):
+    """_counts, raising in the shard whose range starts at trial broken_shard."""
+    counts = simulate_module._counts
+
+    def counts_or_raise(*args):
+        if args[-2] == broken_shard:
+            raise KeyError(f"shard at {broken_shard} broke")
+        return counts(*args)
+
+    return counts_or_raise
+
+
+class TestShards:
+    """A call of more than one tile splits its trials across the usable CPUs.
+
+    Each shard is a forked child, but for the first, which the calling
+    process counts itself; their counts add up to the one-process result.
+    """
+
+    @staticmethod
+    def mixed_calls():
+        """_simulate outputs of a wait with races and cells, and of a z=0 race."""
+        power = MiningPowerSplit(0.45)
+        cells = [(0, 3, 31), (2, 5, 32), (4, 1, 33)]
+        return [
+            simulate_module._simulate(TrialConfig(power, 3, 4), 2_000, [11, 12], [13], cells),
+            simulate_module._simulate(TrialConfig(power, 0, 6), 2_000, [14], (), cells),
+        ]
+
+    def test_results_equal_at_any_shard_count(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        set_flip_cap(monkeypatch, 10)
+        outputs = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            outputs.append(self.mixed_calls())
+            assert_no_child_left()
+        assert outputs[0] == outputs[1] == outputs[2]
+        (races, _, _), (z0_races, _, _) = outputs[0]
+        assert all(r.capped_count for r in [*races, *z0_races])
+
+    def test_shards_fork_only_past_one_tile(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        set_cpus(monkeypatch, 3)
+        config = TrialConfig(MiningPowerSplit(0.3), 2)
+        run_trials(config, simulate_module._BATCH_WALKS, 5)
+        assert not forks
+        run_trials(config, simulate_module._BATCH_WALKS + 1, 5)
+        assert len(forks) == 1
+        run_trials(config, 10 * simulate_module._BATCH_WALKS, 5)
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    def test_one_process_without_an_affinity_mask(self, monkeypatch):
+        config = TrialConfig(MiningPowerSplit(0.3), 2)
+        set_cpus(monkeypatch, 2)
+        sharded = run_trials(config, 40_000, 5)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", must_not_run)
+        assert run_trials(config, 40_000, 5) == sharded
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_childs_exception_reaches_the_caller(self, monkeypatch, cpus):
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        monkeypatch.setattr(simulate_module, "_counts", broken_counts(1_000 // cpus))
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(KeyError, match="shard at") as excinfo:
+            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
+        assert "counts_or_raise" in str(excinfo.value.__cause__)  # the child's traceback
+        assert_no_child_left()
+
+    def test_the_callers_exception_kills_the_children(self, monkeypatch):
+        def counts(*args):
+            if args[-2] == 0:
+                raise KeyError("shard at 0 broke")
+            time.sleep(60)  # a child left running would hold the call up this long
+
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        monkeypatch.setattr(simulate_module, "_counts", counts)
+        set_cpus(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="shard at 0"):
+            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 # Runs one kernel with _keep patched to drop one live walk from every
@@ -633,7 +754,14 @@ def traced_peak_mib(fn) -> float:
 
 
 class TestWorkingSet:
-    """The tile of walks, not the trial count, sets the kernels' working set."""
+    """The tile of walks, not the trial count, sets the kernels' working set.
+
+    tracemalloc sees this process only, so each call runs in one shard.
+    """
+
+    @pytest.fixture(autouse=True)
+    def one_shard(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
 
     def test_race_peak_stays_small(self):
         config = TrialConfig(MiningPowerSplit(0.4), 24)
