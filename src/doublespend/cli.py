@@ -7,8 +7,8 @@ surplus and the trial count live in the library, whose records raise
 ValueError, which main prints as "error: <message>" with exit status 2.  This
 module only parses flags, checks seeds, runs the model's target check over
 every min-z target before the first search, caps work (MAX_Z, MAX_SURPLUS,
-MAX_TRIALS), dispatches, and formats.  Each handler returns a head dict and a
-list of Blocks, which _render writes as CSV or JSON.
+MAX_TRIALS, MAX_Q_RANGE_VALUES), dispatches, and formats.  Each handler
+returns a head dict and a list of Blocks, which _render writes as CSV or JSON.
 
 The default seed for simulate/validate is 20090103, overridable with the
 DOUBLESPEND_SEED environment variable, read on each simulate or validate call
@@ -205,7 +205,7 @@ def _cmd_simulate(args) -> tuple[dict, list[Block]]:
     }
     blocks = [Block(None, tuple(head), (), [head])]
     if args.histogram:
-        histogram = sorted(result.k_histogram.items())
+        histogram = result.k_histogram.items()
         head["k_histogram"] = {str(k): n for k, n in histogram}
         rows = [{"k": k, "count": n} for k, n in histogram]
         blocks.append(Block(None, ("k", "count"), (), rows))

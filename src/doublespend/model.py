@@ -123,8 +123,8 @@ class RuinGameSpec:
 class AttackQuery:
     """One point on an attack-success curve.
 
-    ``budget_surplus`` only matters for the budgeted variant: the attacker
-    abandons the race after losing z + budget_surplus net blocks.
+    ``budget_surplus`` must be >= 1; only the budgeted variant reads it: the
+    attacker abandons the race after losing z + budget_surplus net blocks.
     """
 
     power: MiningPowerSplit
@@ -135,7 +135,7 @@ class AttackQuery:
     def __post_init__(self) -> None:
         if self.z < 0:
             raise ValueError("confirmation depth z must be >= 0")
-        if self.variant is Variant.BUDGETED and self.budget_surplus < 1:
+        if self.budget_surplus < 1:
             raise ValueError("budget_surplus must be >= 1")
 
 

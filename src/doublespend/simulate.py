@@ -59,9 +59,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .model import (
-    AttackQuery, MiningPowerSplit, Variant, DEFAULT_BUDGET_SURPLUS, _check_catch_up,
-)
+from .model import AttackQuery, MiningPowerSplit, DEFAULT_BUDGET_SURPLUS, _check_catch_up
 from .rng import (
     advance_keys,
     bernoulli_threshold,
@@ -95,7 +93,7 @@ _LIVE_FRACTION = 0.75
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Parameters of one simulated race: the budgeted AttackQuery, whose checks it runs.
+    """Parameters of one simulated budgeted race; AttackQuery runs its checks.
 
     run_trials caps each trial at DEFAULT_MAX_BLOCKS coin flips, read at call
     time, which a race with any sane budget absorbs long before.  Capped
@@ -107,7 +105,7 @@ class TrialConfig:
     budget_surplus: int = DEFAULT_BUDGET_SURPLUS
 
     def __post_init__(self) -> None:
-        AttackQuery(self.power, self.z, Variant.BUDGETED, self.budget_surplus)
+        AttackQuery(self.power, self.z, budget_surplus=self.budget_surplus)
 
 
 def _binomial_se(prob: float, trials: int) -> float:
@@ -117,7 +115,8 @@ def _binomial_se(prob: float, trials: int) -> float:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Aggregates over independent trials of one TrialConfig."""
+    """Aggregates over independent trials of one TrialConfig; run_trials
+    builds k_histogram with its keys in ascending order."""
 
     config: TrialConfig
     trials: int

@@ -141,8 +141,9 @@ class TestAttackSuccess:
     def test_rejects_invalid_queries(self):
         with pytest.raises(ValueError):
             AttackQuery(MiningPowerSplit(0.3), -1)
-        with pytest.raises(ValueError):
-            AttackQuery(MiningPowerSplit(0.3), 3, Variant.BUDGETED, 0)
+        for variant in Variant:  # every variant, though only the budgeted one reads it
+            with pytest.raises(ValueError):
+                AttackQuery(MiningPowerSplit(0.3), 3, variant, 0)
         with pytest.raises(ValueError):
             MiningPowerSplit(1.5)
 
@@ -192,12 +193,16 @@ class TestMinConfirmations:
             with pytest.raises(ValueError):
                 min_confirmations(MiningPowerSplit(0.3), target)
 
-    # (0.6, 0.1) is answered by the 1/2 floor, (0.502, 0.5) by the 1 - 1/e
-    # floor and (0.3, 0.5) by the scan; a zero surplus is rejected before each.
+    # (0.6, 0.1) is answered by the 1/2 floor (at once when not budgeted),
+    # (0.502, 0.5) by the 1 - 1/e floor and (0.3, 0.5) by the scan; a zero
+    # surplus is rejected before each, under every variant.
+    @pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
     @pytest.mark.parametrize(("q", "target"), [(0.6, 0.1), (0.502, 0.5), (0.3, 0.5)])
-    def test_rejects_a_budgeted_zero_surplus_before_any_rule_answers(self, q, target):
+    def test_rejects_a_budgeted_zero_surplus_before_any_rule_answers(
+        self, q, target, variant
+    ):
         with pytest.raises(ValueError) as excinfo:
-            min_confirmations(MiningPowerSplit(q), target, Variant.BUDGETED, 0)
+            min_confirmations(MiningPowerSplit(q), target, variant, 0)
         assert str(excinfo.value) == "budget_surplus must be >= 1"
 
     @settings(max_examples=150, deadline=None)

@@ -736,9 +736,16 @@ def test_an_empty_list_flag_exits_2(capsys, argv, message):
         (["min-z", "--q", "0.6", "--variant", "budgeted", "--surplus", "0",
           "--target", "0.1"],
          "budget_surplus must be >= 1"),
+        # Only the budgeted variant reads the surplus, but every variant checks it;
+        # with q > p an unbudgeted min-z answers inf at once, after the check.
+        (["prob", "--q", "0.3", "--z", "2", "--variant", "corrected", "--surplus", "0"],
+         "budget_surplus must be >= 1"),
+        (["min-z", "--q", "0.6", "--variant", "original", "--surplus", "-5",
+          "--target", "0.1"],
+         "budget_surplus must be >= 1"),
     ],
     ids=["malformed-list", "malformed-range", "reversed-range", "zero-step", "surplus-0",
-         "min-z-surplus-0"],
+         "min-z-surplus-0", "corrected-surplus-0", "original-min-z-surplus-minus-5"],
 )
 def test_malformed_flags_exit_2(capsys, argv, message):
     assert handler_error(capsys, *argv) == message
@@ -800,10 +807,8 @@ def test_rule_breaking_argv_exit_2_before_any_work(capsys, monkeypatch, data):
             values = [data.draw(bad)]
             messages.add(message(values[0]))
         argv.append(f"{flag}={','.join(map(repr, values))}")
-    if command != "simulate":  # prob and min-z have a surplus rule only when budgeted
-        budgeted = "--surplus" in broken and command != "validate"
-        variants = ["budgeted"] if budgeted else [v.value for v in Variant]
-        argv.append(f"--variant={data.draw(st.sampled_from(variants))}")
+    if command != "simulate":
+        argv.append(f"--variant={data.draw(st.sampled_from([v.value for v in Variant]))}")
     if command in ("simulate", "validate"):
         argv.append("--seed=1")
     code, out, err = run_cli(*argv, capsys=capsys)

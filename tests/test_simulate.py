@@ -266,8 +266,14 @@ class TestRunTrials:
         chunked = run_trials(config, 10_000, 7)
         assert whole == chunked
 
-    @pytest.mark.parametrize("width", [128, 1 << 14])
-    def test_histogram_keys_ascend(self, monkeypatch, width):
+    # At width 128 the call has 79 tiles, so 3 CPUs shard it on any host.
+    @pytest.mark.parametrize(
+        ("width", "cpus"),
+        [(128, 3), (1 << 14, 3), (128, 1), (1 << 14, 1)],
+        ids=["128", "16384", "128-1cpu", "16384-1cpu"],
+    )
+    def test_histogram_keys_ascend(self, monkeypatch, width, cpus):
+        set_cpus(monkeypatch, cpus)
         config = TrialConfig(MiningPowerSplit(0.35), 3)
         whole = run_trials(config, 10_000, 7)
         monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
