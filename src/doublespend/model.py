@@ -266,8 +266,6 @@ def _poisson_upper_tail(rate: float, k_from: int, term_at_k_from: float) -> floa
 
     Positive-term series; summed until the running term stops contributing.
     """
-    if term_at_k_from == 0.0:
-        return 0.0
     total = term = term_at_k_from
     k = k_from
     stop = max(k_from + 10, int(rate + 60.0 * math.sqrt(rate + 1.0)) + 200)

@@ -60,11 +60,6 @@ def trial_keys(master_seed: int, count: int, start: int = 0) -> np.ndarray:
     return mix64_array(t * np.uint64(_GOLDEN) + base)
 
 
-def step_offset(draw_index: int) -> int:
-    """Additive offset folding draw_index into a stream key before mixing."""
-    return ((draw_index + 1) * _GOLDEN) & _MASK64
-
-
 def advance_keys(keys: np.ndarray, draws) -> np.ndarray:
     """Keys whose draw j is draw j + draws[i] of stream keys[i] (wrapping).
 

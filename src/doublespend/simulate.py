@@ -39,7 +39,8 @@ one process; where os.sched_getaffinity is missing, every call runs in one.
 numpy's import already starts a second thread, so Python 3.12+ warns on
 os.fork; the children run only numpy ufuncs and pickle, then leave with
 os._exit.  Trial t draws its coins from a counter-based substream keyed by
-(master_seed, t), so results are bit-identical for a given
+(master_seed, t), and a walk's key advances along it flip by flip, so
+results are bit-identical for a given
 
     (config, trials, master_seed)
 
@@ -60,13 +61,7 @@ from typing import NoReturn
 import numpy as np
 
 from .model import AttackQuery, MiningPowerSplit, DEFAULT_BUDGET_SURPLUS, _check_catch_up
-from .rng import (
-    advance_keys,
-    bernoulli_threshold,
-    mix64_array,
-    step_offset,
-    trial_keys,
-)
+from .rng import advance_keys, bernoulli_threshold, mix64_array, trial_keys
 
 __all__ = [
     "SimulationResult",
@@ -170,9 +165,9 @@ def _block_rows(walks: int) -> int:
     return _BATCH_WALKS // walks
 
 
-def _attacker_counts(keys: np.ndarray, threshold: np.uint64, step: int, rows: int):
-    """(rows, walks) attacker-block counts over each stream's draws step..step + j."""
-    draws = advance_keys(keys, np.arange(step + 1, step + rows + 1)[:, None])
+def _attacker_counts(keys: np.ndarray, threshold: np.uint64, rows: int):
+    """(rows, walks) attacker-block counts; row j counts each key's next j + 1 draws."""
+    draws = advance_keys(keys, np.arange(1, rows + 1)[:, None])
     return np.cumsum(mix64_array(draws) < threshold, axis=0)
 
 
@@ -190,14 +185,24 @@ def _join(rest, fresh):
     return tuple(map(np.concatenate, zip(rest, fresh)))
 
 
+def _chase(keys, used, deficit, budget, label):
+    """Chase walks, one per stream of keys, from its draw used on: d starts at
+    deficit, wins at 0, loses at deficit + budget, and the stream's whole run
+    is capped at DEFAULT_MAX_BLOCKS flips."""
+    cap = DEFAULT_MAX_BLOCKS - used
+    return advance_keys(keys, used), deficit, deficit + budget, cap, label
+
+
 def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
     """Walk each d from above 0 until it reaches 0, its loss barrier or its flip cap.
 
     tiles yields walks tuples (keys, d, loss_at, cap, label), each field an
     array with one entry per walk: stream keys, d (int64, updated in place),
-    loss barriers, flip caps and labels.  Each flip adds honest to d, or
-    attacker on an attacker block: (+1, -1) walks a chase's deficit, (-1, 0)
-    counts down the honest blocks a wait still needs.  No flip moves d by
+    loss barriers, flip caps and labels.  A key holds its stream's position:
+    a walk's next flip is the draw after it, the key advances with each flip,
+    and a join carries it as it is.  Each flip adds honest to d, or attacker
+    on an attacker block: (+1, -1) walks a chase's deficit, (-1, 0) counts
+    down the honest blocks a wait still needs.  No flip moves d by
     more than 1, so no walk of a joined tile reaches 0 before min(d) flips or
     its barrier before min(loss_at - d), and no end is tested before then;
     cap is compared only once the step count reaches the smallest live one.
@@ -220,6 +225,7 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
     tiles = iter(tiles)
     keys = np.empty(0, dtype=np.uint64)
     d = loss_at = cap = label = np.empty(0, dtype=np.int64)
+    one_draw = advance_keys(np.uint64(0), 1)
     step = live = 0
     cap_floor = end_floor = _FLIP_LIMIT
     more = True
@@ -233,8 +239,7 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
             more = fresh is not None
             if more:
                 if live:
-                    rest = (advance_keys(keys, step), d, loss_at, cap - step, label)
-                    fresh = _join(rest, fresh)
+                    fresh = _join((keys, d, loss_at, cap - step, label), fresh)
                 keys, d, loss_at, cap, label = fresh
                 fresh = None  # the walk arrays alone hold the tile, so compaction frees it
                 live, step = keys.size, 0
@@ -252,7 +257,8 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
         if blocking:
             rows = min(_block_rows(live), cap_floor - step)
             walk = d + honest * np.arange(1, rows + 1)[:, None]
-            walk += (attacker - honest) * _attacker_counts(keys, threshold, step, rows)
+            walk += (attacker - honest) * _attacker_counts(keys, threshold, rows)
+            keys = advance_keys(keys, rows)
             ends = (walk == 0) | (walk == loss_at)
             ends[-1] = True  # a walk not absorbed in the block stops at its end
             last = ends.argmax(axis=0)
@@ -260,7 +266,8 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
             flips = step + 1 + last
             step += rows
         else:
-            hits = mix64_array(keys + np.uint64(step_offset(step))) < threshold
+            keys = keys + one_draw
+            hits = mix64_array(keys) < threshold
             for _ in range(abs(attacker - honest)):  # in place: a product would allocate
                 move(d, hits, out=d)
             d += honest
@@ -307,22 +314,19 @@ def _counts(config: TrialConfig, streams, race_count: int, cells, start: int, st
             label = np.repeat(np.arange(race_count), count)  # the races lead the tile
             # A trial capped in the wait may already have k > z; it is capped, not won.
             chase = k[: label.size] <= min(z, last_k)
-            kc = k[: label.size][chase]
-            yield (
-                advance_keys(keys[: label.size][chase], z + kc),
-                z + 1 - kc,
-                2 * (z - kc) + 1 + surplus,
-                DEFAULT_MAX_BLOCKS - z - kc,
-                label[chase],
-            )
+            kc, keys = k[: label.size][chase], keys[: label.size][chase]
+            # Past its wait's z + k draws, deficit z + 1 - k with budget z + surplus - k.
+            yield _chase(keys, z + kc, z + 1 - kc, z + surplus - kc, label[chase])
 
-    # Clamped as the races are: past _FLIP_LIMIT no barrier is reachable.
-    start_d = np.array([min(d, _FLIP_LIMIT) for d, _, _ in cells], dtype=np.int64)
-    loss_at = start_d + [min(b, _FLIP_LIMIT) for _, b, _ in cells]
-    cap = np.full(len(cells), DEFAULT_MAX_BLOCKS)
-    per_cell = (start_d, loss_at, cap, race_count + np.arange(len(cells)))
+    # (deficit, budget, label) rows, clamped as the races are: past _FLIP_LIMIT
+    # no barrier is reachable.
+    per_cell = np.array(
+        [(min(d, _FLIP_LIMIT), min(b, _FLIP_LIMIT), race_count + i)
+         for i, (d, b, _) in enumerate(cells)],
+        dtype=np.int64,
+    ).reshape(-1, 3).T
     cell_tiles = (
-        (keys, *(np.repeat(x, count) for x in per_cell))
+        _chase(keys, np.zeros(keys.size, np.int64), *np.repeat(per_cell, count, axis=1))
         for count, keys in _tiles([s for _, _, s in cells], start, stop)
     )
     ends = np.zeros((2, race_count + len(cells)), dtype=np.int64)  # wins, capped

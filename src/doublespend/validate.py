@@ -163,11 +163,9 @@ def component_attribution(
     return _cell(TrialConfig(power, z, budget_surplus), trials, [], master_seed)[1]
 
 
-def _cell(config: TrialConfig, trials: int, races: list[int], report_seed: int | None):
+def _cell(config: TrialConfig, trials: int, races: list[int], report_seed: int):
     """(a SimulationResult per race seed, component_attribution's report from
-    report_seed or None if it is None), from one engine call."""
-    if report_seed is None:
-        return _simulate(config, trials, races)[0], None
+    report_seed), from one engine call."""
     power, z, budget_surplus = config.power, config.z, config.budget_surplus
     # (a) catch-up at the deficit/budget pairs the budgeted sum uses
     cells = [
@@ -272,18 +270,19 @@ def _sweep(
     grid: SweepGrid, rows: bool, reports: bool
 ) -> tuple[list[ValidationRow], list[AttributionReport]]:
     """run_validation's rows and run_attribution's reports, either or both,
-    from one engine call per cell."""
+    from at most one engine call per cell: none for a cell with neither."""
     out_rows, out_reports, seed, surplus = [], [], grid.master_seed, grid.budget_surplus
     for qi, q in enumerate(grid.q_values):
         power = MiningPowerSplit(q)
         for zi, z in enumerate(grid.z_values):
             config = TrialConfig(power, z, surplus)
             races = [derive_seed(seed, qi, zi)] if rows else []
-            # Attribution needs a non-empty waiting phase.
-            attribute = reports and z >= 1
-            report_seed = derive_seed(seed, qi, zi, 1) if attribute else None
-            races, report = _cell(config, grid.trials, races, report_seed)
-            out_reports += [report] if attribute else []
+            if reports and z >= 1:  # attribution needs a non-empty waiting phase
+                report_seed = derive_seed(seed, qi, zi, 1)
+                races, report = _cell(config, grid.trials, races, report_seed)
+                out_reports.append(report)
+            elif races:
+                races = _simulate(config, grid.trials, races)[0]
             for sim in races:
                 model = attack_success(AttackQuery(power, z, grid.variant, surplus))
                 rate, error = sim.success_rate, abs(model - sim.success_rate)

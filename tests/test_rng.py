@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from doublespend.rng import (
+    advance_keys,
     bernoulli_threshold,
     derive_seed,
     mix64,
     mix64_array,
-    step_offset,
     trial_keys,
 )
 from oracles import TrialStream
@@ -67,7 +67,8 @@ def test_trial_stream_replays_the_same_draws():
 def test_trial_stream_matches_counter_formula():
     stream = TrialStream(2024, 11)
     key = derive_seed(2024, 11)
-    expected = [mix64((key + step_offset(j)) & (2**64 - 1)) for j in range(16)]
+    keys = advance_keys(np.full(16, key, dtype=np.uint64), np.arange(1, 17))
+    expected = [mix64(int(k)) for k in keys]  # draw j is key + (j + 1) * GOLDEN, mixed
     assert [stream.next_raw() for _ in range(16)] == expected
 
 

@@ -524,9 +524,9 @@ class TestBlockedTail:
         log = []
         counts = simulate_module._attacker_counts
 
-        def logged_counts(keys, threshold, step, rows):
+        def logged_counts(keys, threshold, rows):
             log.append((rows, keys.size))
-            return counts(keys, threshold, step, rows)
+            return counts(keys, threshold, rows)
 
         monkeypatch.setattr(simulate_module, "_attacker_counts", logged_counts)
         return log
@@ -702,6 +702,46 @@ class TestShards:
             run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    def test_a_worker_that_dies_fails_the_call(self, monkeypatch):
+        original = simulate_module._counts
+
+        def counts(*args):
+            if args[-2]:
+                os._exit(3)  # a child's range: it dies without writing its counts
+            return original(*args)
+
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        monkeypatch.setattr(simulate_module, "_counts", counts)
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"shard worker \d+ ended with wait status 768$"):
+            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
+        assert_no_child_left()
+
+    def test_a_failed_fork_kills_the_children_and_closes_the_pipes(self, monkeypatch):
+        def counts(*args):
+            time.sleep(60)  # a child left running would hold the call up this long
+
+        forked, fork = [], os.fork
+
+        def fork_once():
+            if forked:
+                raise OSError("no more processes")
+            forked.append(fork())
+            return forked[-1]
+
+        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        monkeypatch.setattr(simulate_module, "_counts", counts)
+        monkeypatch.setattr(os, "fork", fork_once)
+        set_cpus(monkeypatch, 4)
+        fds = len(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(OSError, match="no more processes"):
+            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1  # the second fork failed, so no third was tried
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds
 
 
 # Runs one kernel with _keep patched to drop one live walk from every

@@ -252,3 +252,20 @@ class TestOneEngineCallPerCell:
             empirical_k_distribution(config.power, config.z, trials, seed) for seed in waits
         ]
         assert rates == empirical_catch_up(config.power, cells, trials)
+
+    @pytest.mark.parametrize(
+        ("rows", "reports", "engine_zs"),
+        [(False, True, [1]), (True, False, [0, 1]), (True, True, [0, 1])],
+        ids=["reports", "rows", "both"],
+    )
+    def test_no_engine_call_for_a_cell_with_no_work(self, monkeypatch, rows, reports, engine_zs):
+        # A z = 0 cell has no report, so attribution alone has nothing to run there.
+        engine, zs = simulate_module._simulate, []
+
+        def counted(config, *args):
+            zs.append(config.z)
+            return engine(config, *args)
+
+        monkeypatch.setattr(validate_module, "_simulate", counted)
+        validate_module._sweep(SweepGrid((0.3,), (0, 1), trials=10), rows, reports)
+        assert zs == engine_zs
