@@ -12,14 +12,34 @@ confirmations, how likely is a double-spend to succeed?
 * :mod:`doublespend.validate` compares the two and attributes any disagreement
   to individual model components.
 * :mod:`doublespend.cli` exposes everything as subcommands emitting CSV/JSON.
+
+Only the model loads with the package.  The simulator and validation need
+numpy, so they, :mod:`doublespend.rng` and every name they export load on
+first use, and the model's subcommands never import numpy.
 """
 
-from . import model, simulate, validate
+import importlib
+
+from . import model
 from .model import *  # noqa: F403
-from .rng import derive_seed
-from .simulate import *  # noqa: F403
-from .validate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [*model.__all__, *simulate.__all__, *validate.__all__, "derive_seed"]
+
+def __getattr__(name: str):
+    """simulate, validate, rng and the names they export, loaded on first use."""
+    rng, simulate, validate = (
+        importlib.import_module(f"{__name__}.{module}")
+        for module in ("rng", "simulate", "validate")
+    )
+    exports = {
+        export: getattr(module, export)
+        for module in (simulate, validate)
+        for export in module.__all__
+    }
+    exports["derive_seed"] = rng.derive_seed
+    exports["__all__"] = [*model.__all__, *exports]
+    globals().update(exports)
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]

@@ -9,6 +9,9 @@ module only parses flags, checks seeds, runs the model's target check over
 every min-z target before the first search, caps work (MAX_Z, MAX_SURPLUS,
 MAX_TRIALS, MAX_Q_RANGE_VALUES), dispatches, and formats.  Each handler
 returns a head dict and a list of Blocks, which _render writes as CSV or JSON.
+min-z answers all its targets for one q from one model scan.  simulate and
+validate import the simulator inside their handlers, so prob and min-z run
+without loading numpy.
 
 The default seed for simulate/validate is 20090103, overridable with the
 DOUBLESPEND_SEED environment variable, read on each simulate or validate call
@@ -28,10 +31,8 @@ from typing import NamedTuple
 
 from .model import (
     DEFAULT_BUDGET_SURPLUS, AttackQuery, MiningPowerSplit, Variant, _check_target,
-    attack_success, attack_summands, min_confirmations,
+    _min_depths, attack_success, attack_summands,
 )
-from .simulate import TrialConfig, _check_trials, run_trials
-from .validate import SweepGrid, _sweep
 
 ENV_SEED = "DOUBLESPEND_SEED"
 DEFAULT_SEED = 20090103
@@ -177,16 +178,19 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     variant = Variant(args.variant)
     head = {"variant": variant.value, "budget_surplus": args.surplus}
     rows = [
-        {**head, "q": power.q, "target": target,
-         "min_z": min_confirmations(power, target, variant, args.surplus)}
+        {**head, "q": power.q, "target": target, "min_z": depth}
         for power in powers
-        for target in targets
+        for target, depth in zip(
+            targets, _min_depths(power, targets, variant, args.surplus)
+        )
     ]
     csv = ("q", "target", "variant", "budget_surplus", "min_z")
     return head, [Block("rows", csv, ("q", "target", "min_z"), rows, "inf")]
 
 
 def _cmd_simulate(args) -> tuple[dict, list[Block]]:
+    from .simulate import TrialConfig, _check_trials, run_trials
+
     config = TrialConfig(MiningPowerSplit(args.q), args.z, args.surplus)
     _check_trials(_at_most(args.trials, "--trials", MAX_TRIALS))
     seed = _seed(args)
@@ -220,6 +224,8 @@ _COMPARISON = ("component", "label", "observed", "expected", "std_err", "z_score
 
 
 def _cmd_validate(args) -> tuple[dict, list[Block]]:
+    from .validate import SweepGrid, _sweep
+
     q_values = _parse_list(args.q_values, "--q-values")
     z_values = _parse_list(args.z_values, "--z-values", int)
     _at_most(args.trials, "--trials", MAX_TRIALS)

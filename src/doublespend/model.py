@@ -347,19 +347,50 @@ def min_confirmations(
     P(Poisson(z) > z)/2 >= 1 - 1/e at every z >= 1, so a lower target needs
     z = 0.  With q > p, P(z) >= 1 - exp(-z c), c = r - 1 - ln r, r = q/p
     (Chernoff), so the scan stops once that bound clears the target, or past
-    DEFAULT_SEARCH_CAP.
+    DEFAULT_SEARCH_CAP.  One target of _min_depths, whose single scan answers
+    a list of targets with these same rules.
     """
-    _check_target(target)
+    return _min_depths(power, [target], variant, budget_surplus)[0]
+
+
+def _min_depths(
+    power: MiningPowerSplit,
+    targets: list[float],
+    variant: Variant,
+    budget_surplus: int,
+) -> list[int | None]:
+    """min_confirmations for each target, from one ascending scan over z.
+
+    Each z is evaluated once, and only while some target is still open; a
+    target closes at its answer, at the Chernoff stop, past its last depth
+    (z = 0 below the 1 - 1/e floor, else DEFAULT_SEARCH_CAP), or at once
+    below the 1/2 floor.  Every target is checked before any answer.
+    """
+    for target in targets:
+        _check_target(target)
     AttackQuery(power, 0, variant, budget_surplus)  # its checks come before any answer
-    if power.p <= power.q and (variant is not Variant.BUDGETED or target < 0.5):
-        return None
+    depths: list[int | None] = [None] * len(targets)
+    majority = power.p <= power.q
+    # index -> the last depth to scan, for each target still open
+    last = {
+        i: 0 if majority and target < 1.0 - 1.0 / math.e - GUARD_BAND
+        else DEFAULT_SEARCH_CAP
+        for i, target in enumerate(targets)
+        if not majority or (variant is Variant.BUDGETED and target >= 0.5)
+    }
     r = power.q / power.p
     c = r - 1.0 - math.log(r) if r > 1.0 else 0.0  # no Chernoff stop for q <= p
-    below_floor = power.p <= power.q and target < 1.0 - 1.0 / math.e - GUARD_BAND
-    for z in range(1 if below_floor else DEFAULT_SEARCH_CAP + 1):
-        if 1.0 - math.exp(-z * c) > target + GUARD_BAND:
-            return None  # the bound only grows with z
-        query = AttackQuery(power, z, variant, budget_surplus)
-        if attack_success(query) <= target:
-            return z
-    return None
+    for z in range(DEFAULT_SEARCH_CAP + 1):
+        bound = 1.0 - math.exp(-z * c)  # only grows with z
+        last = {
+            i: end for i, end in last.items()
+            if z <= end and bound <= targets[i] + GUARD_BAND
+        }
+        if not last:
+            break
+        probability = attack_success(AttackQuery(power, z, variant, budget_surplus))
+        for i in list(last):
+            if probability <= targets[i]:
+                depths[i] = z
+                del last[i]
+    return depths

@@ -64,7 +64,9 @@ def advance_keys(keys: np.ndarray, draws) -> np.ndarray:
     """Keys whose draw j is draw j + draws[i] of stream keys[i] (wrapping).
 
     draws broadcasts against keys: per key, for all keys, or a column of counts.
+    A scalar key wraps like an array key, with no overflow warning.
     """
+    keys = np.asarray(keys, dtype=np.uint64)
     return keys + np.asarray(draws, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 

@@ -1,7 +1,14 @@
 import dataclasses
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import doublespend
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 # Every public function and dataclass with its parameter names, so that an
 # added, removed or renamed option shows up as a diff here.  Other exports
@@ -80,3 +87,49 @@ def test_public_record_properties_are_pinned():
         if dataclasses.is_dataclass(record)
     }
     assert {name: props for name, props in observed.items() if props} == PUBLIC_PROPERTIES
+
+
+
+def fresh_interpreter(code: str) -> None:
+    """Run code in a new interpreter, which starts with nothing imported."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_prob_and_min_z_never_import_numpy():
+    fresh_interpreter("""
+        import sys
+        from doublespend.cli import main
+        assert main(["prob", "--q", "0.3", "--z", "6"]) == 0
+        assert main(["min-z", "--q", "0.1,0.3", "--target", "0.01,0.5"]) == 0
+        assert "numpy" not in sys.modules
+    """)
+
+
+def test_star_import_binds_every_exported_name():
+    fresh_interpreter("""
+        from doublespend import *
+        import doublespend
+        from doublespend import model, rng, simulate, validate
+        exports = {
+            name: getattr(module, name)
+            for module in (model, simulate, validate)
+            for name in module.__all__
+        }
+        exports["derive_seed"] = rng.derive_seed
+        assert doublespend.__all__ == list(exports)
+        assert all(globals()[name] is value for name, value in exports.items())
+    """)
+
+
+def test_submodules_resolve_after_a_bare_import():
+    fresh_interpreter("""
+        import doublespend
+        assert doublespend.simulate.__name__ == "doublespend.simulate"
+        assert doublespend.run_validation is doublespend.validate.run_validation
+        assert not hasattr(doublespend, "no_such_name")
+    """)

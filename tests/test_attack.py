@@ -188,6 +188,33 @@ class TestMinConfirmations:
         monkeypatch.setattr(model_module, "DEFAULT_SEARCH_CAP", 3)
         assert min_confirmations(MiningPowerSplit(0.45), 1e-6) is None
 
+    # Unsorted targets with a repeat.  q < 1/2 answers every one; at q = 0.55
+    # the 1/2 floor leaves some None (all but budgeted ones), and the budgeted
+    # 0.6, below the 1 - 1/e floor, is answered at z = 0 or not at all.
+    @pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+    @pytest.mark.parametrize("surplus", [1, 35])
+    @pytest.mark.parametrize("q", [0.05, 0.2, 0.35, 0.45, 0.55])
+    def test_one_scan_answers_each_target_as_its_own_search(self, q, surplus, variant):
+        power = MiningPowerSplit(q)
+        targets = [0.3, 0.01, 0.9, 0.3, 0.6, 0.05]
+        assert model_module._min_depths(power, targets, variant, surplus) == [
+            min_confirmations(power, target, variant, surplus) for target in targets
+        ]
+
+    def test_one_scan_mixes_answers_with_the_search_cap(self, monkeypatch):
+        monkeypatch.setattr(model_module, "DEFAULT_SEARCH_CAP", 3)
+        power = MiningPowerSplit(0.45)
+        targets = [1e-6, 0.9, 0.5, 1e-6]
+        depths = model_module._min_depths(power, targets, Variant.CORRECTED, 35)
+        assert depths == [min_confirmations(power, target) for target in targets]
+        assert depths[0] is None and depths[1] is not None
+
+    def test_one_scan_checks_every_target_before_any_answer(self):
+        with pytest.raises(ValueError, match="target must be in"):
+            model_module._min_depths(
+                MiningPowerSplit(0.6), [0.1, 1.5], Variant.CORRECTED, 35
+            )
+
     def test_rejects_bad_targets(self):
         for target in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
@@ -247,6 +274,7 @@ class TestMinConfirmations:
             return attack_success(query)
 
         monkeypatch.setattr(model_module, "attack_success", logged)
+        answers, lasts = {}, {}
         for target in (0.1, 0.5, 0.9, 0.999):
             stop = next(
                 z for z in itertools.count()
@@ -268,3 +296,13 @@ class TestMinConfirmations:
                 else stop - 1 if scan is None else scan
             )
             assert depths == list(range(last + 1))
+            answers[target], lasts[target] = scan, last
+        # One shared scan answers every target and evaluates each z once, up
+        # to the largest answer or the last stop.
+        depths.clear()
+        targets = [0.999, 0.1, 0.5, 0.9, 0.1]
+        shared = model_module._min_depths(
+            MiningPowerSplit(q), targets, Variant.BUDGETED, surplus
+        )
+        assert shared == [answers[target] for target in targets]
+        assert depths == list(range(max(lasts.values()) + 1))

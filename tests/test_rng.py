@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -70,6 +72,16 @@ def test_trial_stream_matches_counter_formula():
     keys = advance_keys(np.full(16, key, dtype=np.uint64), np.arange(1, 17))
     expected = [mix64(int(k)) for k in keys]  # draw j is key + (j + 1) * GOLDEN, mixed
     assert [stream.next_raw() for _ in range(16)] == expected
+
+
+@pytest.mark.parametrize("key", [2**63 + 2**62, 2**64 - 1, 5])
+@pytest.mark.parametrize("draws", [1, 2**40])
+def test_scalar_keys_wrap_like_array_keys(key, draws):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = advance_keys(np.uint64(key), draws)
+        array = advance_keys(np.array([key], dtype=np.uint64), draws)
+    assert int(scalar) == int(array[0]) == (key + draws * 0x9E3779B97F4A7C15) % 2**64
 
 
 def test_bernoulli_threshold_is_exact_for_dyadic_probabilities():
