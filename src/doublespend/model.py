@@ -166,12 +166,16 @@ def ruin_win_probability(game: RuinGameSpec) -> float:
     Exactly 0.0 at i == 0 and exactly 1.0 at i == N.  Evaluated with ratios
     below 1 only, so large fortunes never overflow.
     """
-    i, n, q = game.initial_fortune, game.target, game.win_prob
+    return _ruin(game.initial_fortune, game.target, game.win_prob)
+
+
+def _ruin(i: int, n: int, q: float) -> float:
+    """ruin_win_probability(RuinGameSpec(i, n, q)) for values that obey its rules."""
     if i == 0:
         return 0.0
     if i == n:
         return 1.0
-    p = game.loss_prob
+    p = 1.0 - q
     if abs(p - q) <= EQUAL_POWER_TOL:
         return _as_probability(i / n)
     if q > p:
@@ -206,7 +210,9 @@ def catch_up_limited(z: int, budget: int, power: MiningPowerSplit) -> float:
     exactly 1.0.  Converges to catch_up_unlimited as the budget grows.
     """
     _check_catch_up(z, budget)
-    return ruin_win_probability(RuinGameSpec(budget, budget + z, power.q))
+    # RuinGameSpec's rules hold: z >= 0 and budget >= 1 give target >= 1 and
+    # 0 <= budget <= budget + z, and MiningPowerSplit keeps q in (0, 1).
+    return _ruin(budget, budget + z, power.q)
 
 
 def _check_catch_up(z: int, budget: int) -> None:
@@ -251,7 +257,7 @@ def _poisson_terms(rate: float, k_top: int) -> list[float]:
 
     The recurrence rounds term * rate / k where poisson_pmf rounds
     term * (rate / k), so most terms differ from poisson_pmf in the last
-    bits.  Summands, and so the model and its golden output, use this one.
+    bits.  The attack sum's terms, and so its golden output, use this one.
     """
     if rate == 0.0 or rate > _PMF_LOGSPACE_RATE:
         return [poisson_pmf(k, rate) for k in range(k_top + 1)]
@@ -279,14 +285,20 @@ def _poisson_upper_tail(rate: float, k_from: int, term_at_k_from: float) -> floa
 
 
 def _catch_up_factor(query: AttackQuery, deficit: int) -> float:
-    if deficit == 0:
-        # The attacker is already even with the corrected target (or ahead):
-        # an immediate win in every variant, including the budgeted race.
-        return 1.0
     if query.variant is Variant.BUDGETED:
         budget = deficit + query.budget_surplus - 1  # z + surplus - k
         return catch_up_limited(deficit, budget, query.power)
     return catch_up_unlimited(deficit, query.power)
+
+
+def _terms(query: AttackQuery) -> tuple[list[float], list[float]]:
+    """The attack sum's pmf(k) and catch-up lists over k = 0..K, as plain
+    floats; K is z for the original variant and z + 1 for the others."""
+    k_top = query.z if query.variant is Variant.ORIGINAL else query.z + 1
+    pmf = _poisson_terms(poisson_rate(query.z, query.power), k_top)
+    # At k = K the attacker has already reached the variant's target: an
+    # immediate win in every variant, including the budgeted race.
+    return pmf, [_catch_up_factor(query, k_top - k) for k in range(k_top)] + [1.0]
 
 
 def attack_summands(query: AttackQuery) -> list[Summand]:
@@ -294,15 +306,11 @@ def attack_summands(query: AttackQuery) -> list[Summand]:
 
     Row k pairs the Poisson probability of the attacker having mined k blocks
     during the wait with the probability of winning the race from the
-    remaining deficit.  The sum runs to k = z for the original variant and
-    k = z + 1 for the corrected and budgeted ones.
+    remaining deficit, over k = 0..z (original) or 0..z + 1 (corrected and
+    budgeted).  attack_success sums the same floats without these rows.
     """
-    k_top = query.z if query.variant is Variant.ORIGINAL else query.z + 1
-    terms = _poisson_terms(poisson_rate(query.z, query.power), k_top)
-    return [
-        Summand(k, terms[k], _catch_up_factor(query, k_top - k))
-        for k in range(k_top + 1)
-    ]
+    pmf, catch = _terms(query)
+    return [Summand(k, *row) for k, row in enumerate(zip(pmf, catch))]
 
 
 def attack_success(query: AttackQuery) -> float:
@@ -313,18 +321,17 @@ def attack_success(query: AttackQuery) -> float:
     complementary subtraction loses relative accuracy, so the sum is instead
     taken over the success terms pmf(k) * catch_up(k) plus the explicit
     Poisson tail P(X > K), which is all-positive and keeps tiny probabilities
-    exact to machine precision.  When p <= q every (1 - catch_up) term of the
+    exact to machine precision.  Both are math.fsum, correctly rounded, over
+    attack_summands' floats.  When p <= q every (1 - catch_up) term of the
     original and corrected variants vanishes, so they return exactly 1.0.
     """
-    rows = attack_summands(query)
-    missed = math.fsum(row.pmf * (1.0 - row.catch_up) for row in rows)
+    pmf, catch = _terms(query)
+    missed = math.fsum([t * (1.0 - c) for t, c in zip(pmf, catch)])
     if missed < 0.5:
         return _as_probability(1.0 - missed)
     rate = poisson_rate(query.z, query.power)
-    k_top = rows[-1].k
-    anchor = rows[-1].pmf * rate / (k_top + 1)
-    tail = _poisson_upper_tail(rate, k_top + 1, anchor)
-    return _as_probability(math.fsum(row.product for row in rows) + tail)
+    tail = _poisson_upper_tail(rate, len(pmf), pmf[-1] * rate / len(pmf))
+    return _as_probability(math.fsum([t * c for t, c in zip(pmf, catch)]) + tail)
 
 
 def _check_target(target: float) -> None:

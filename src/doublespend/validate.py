@@ -29,10 +29,10 @@ from .model import (
     MiningPowerSplit,
     Variant,
     attack_success,
-    attack_summands,
     poisson_pmf,
     poisson_rate,
     DEFAULT_BUDGET_SURPLUS,
+    _terms,
 )
 from .rng import derive_seed
 from .simulate import TrialConfig, _binomial_se, _check_trials, _simulate
@@ -178,7 +178,7 @@ def _cell(config: TrialConfig, trials: int, races: list[int], report_seed: int):
     rate = poisson_rate(z, power)
     query = AttackQuery(power, z, Variant.BUDGETED, budget_surplus)
     # The budgeted sum's catch-up at k = 0..z+1; at k = z+1 it is 1.0.
-    catch = [row.catch_up for row in attack_summands(query)]
+    catch = _terms(query)[1]
     catch_rows = [
         ComparisonRow(
             component="catch_up",

@@ -11,10 +11,15 @@ from doublespend import (
     AttackQuery,
     MiningPowerSplit,
     ProbabilityRangeError,
+    RuinGameSpec,
     Variant,
     attack_success,
     attack_summands,
+    catch_up_limited,
+    catch_up_unlimited,
     min_confirmations,
+    poisson_rate,
+    ruin_win_probability,
 )
 from oracles import attack_success_naive
 
@@ -68,6 +73,76 @@ class TestSummands:
             assert attack_success(query) == pytest.approx(1.0 - missed, abs=1e-13)
 
 
+def success_from_rows(query):
+    """attack_success as a sum over attack_summands' rows, term by term."""
+    rows = attack_summands(query)
+    missed = math.fsum(row.pmf * (1.0 - row.catch_up) for row in rows)
+    if missed < 0.5:
+        return model_module._as_probability(1.0 - missed)
+    rate = poisson_rate(query.z, query.power)
+    k_top = rows[-1].k
+    anchor = rows[-1].pmf * rate / (k_top + 1)
+    tail = model_module._poisson_upper_tail(rate, k_top + 1, anchor)
+    return model_module._as_probability(math.fsum(row.product for row in rows) + tail)
+
+
+# q and z that reach every branch of the sum: a rate past the pmf's log-space
+# switch (z = 1000 at q >= 0.45), exponents past _POW_DIRECT_MAX, P below and
+# above 1/2, |p - q| just below and just above EQUAL_POWER_TOL, and q > p.
+PLAIN_FLOAT_QS = [0.1, 0.3, 0.45, 0.5 - 4e-13, 0.5 - 6e-13, 0.55]
+PLAIN_FLOAT_ZS = [0, 1, 10, 70, 1000]
+
+
+class TestPlainFloatTerms:
+    def test_grid_reaches_every_branch(self):
+        rates = [poisson_rate(z, MiningPowerSplit(q)) for q in PLAIN_FLOAT_QS
+                 for z in PLAIN_FLOAT_ZS]
+        assert max(rates) > model_module._PMF_LOGSPACE_RATE
+        assert max(PLAIN_FLOAT_ZS) > model_module._POW_DIRECT_MAX
+        gaps = [abs((1.0 - q) - q) for q in PLAIN_FLOAT_QS]
+        assert any(0 < gap <= model_module.EQUAL_POWER_TOL for gap in gaps)
+        assert any(
+            model_module.EQUAL_POWER_TOL < gap < 2 * model_module.EQUAL_POWER_TOL
+            for gap in gaps
+        )
+        values = [success(q, z, Variant.CORRECTED) for q in PLAIN_FLOAT_QS
+                  for z in PLAIN_FLOAT_ZS]
+        assert min(values) < 0.5 <= max(values)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+    @pytest.mark.parametrize("surplus", [1, 35])
+    @pytest.mark.parametrize("q", PLAIN_FLOAT_QS)
+    def test_success_is_the_row_sum_bit_for_bit(self, q, surplus, variant):
+        power = MiningPowerSplit(q)
+        for z in PLAIN_FLOAT_ZS:
+            query = AttackQuery(power, z, variant, surplus)
+            assert attack_success(query) == success_from_rows(query), z
+            # Each row's catch-up is the public catch-up function's, which for
+            # the budgeted variant is the Gambler's Ruin game it names.
+            rows = attack_summands(query)
+            assert [row.pmf for row in rows] == model_module._poisson_terms(
+                poisson_rate(z, power), rows[-1].k
+            )
+            for row in rows[:-1]:
+                deficit = rows[-1].k - row.k
+                if variant is Variant.BUDGETED:
+                    budget = z + surplus - row.k
+                    assert row.catch_up == catch_up_limited(deficit, budget, power)
+                else:
+                    assert row.catch_up == catch_up_unlimited(deficit, power)
+            assert rows[-1].catch_up == 1.0
+
+    @pytest.mark.parametrize("q", PLAIN_FLOAT_QS)
+    def test_catch_up_limited_is_the_ruin_game(self, q):
+        power = MiningPowerSplit(q)
+        for deficit in (0, 1, 2, 10, 70, 1000):
+            for budget in (1, 2, 35, 70, 1000):
+                game = RuinGameSpec(budget, budget + deficit, q)
+                assert catch_up_limited(deficit, budget, power) == ruin_win_probability(
+                    game
+                ), (deficit, budget)
+
+
 class TestAttackSuccess:
     def test_original_at_zero_depth_is_certain(self):
         assert success(0.3, 0, Variant.ORIGINAL) == 1.0
@@ -109,6 +184,28 @@ class TestAttackSuccess:
         for z in (0, 1, 5, 15, 30):
             values = [success(q, z, variant) for q in qs]
             assert all(a <= b for a, b in zip(values, values[1:])), (variant, z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.floats(min_value=0.001, max_value=0.499),
+        z=st.integers(min_value=0, max_value=399),
+        variant=st.sampled_from([Variant.ORIGINAL, Variant.CORRECTED]),
+    )
+    def test_unbudgeted_success_does_not_increase_in_depth(self, q, z, variant):
+        # What a faster search than the ascending scan may rely on for p > q.
+        assert success(q, z + 1, variant) <= success(q, z, variant)
+
+    def test_budgeted_success_can_rise_in_depth_at_a_small_surplus(self):
+        # Not so for the budgeted variant: at surplus 1 the loss budget grows
+        # with z, so one more confirmation can help the attacker.  A search
+        # that assumes P falls in z must state the surplus it holds for.
+        assert success(0.4, 0, Variant.BUDGETED, 1) == pytest.approx(0.4, abs=1e-15)
+        assert success(0.4, 1, Variant.BUDGETED, 1) == pytest.approx(0.43919, abs=1e-5)
+        values = [success(0.499, z, Variant.BUDGETED, 1) for z in range(110)]
+        rises = [z for z in range(1, 110) if values[z] > values[z - 1]]
+        assert rises == list(range(1, 108))
+        values = [success(0.499, z, Variant.BUDGETED, 35) for z in range(60)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_correction_never_exceeds_original(self):
         for q in [0.05 * i for i in range(1, 10)]:
@@ -208,6 +305,21 @@ class TestMinConfirmations:
         depths = model_module._min_depths(power, targets, Variant.CORRECTED, 35)
         assert depths == [min_confirmations(power, target) for target in targets]
         assert depths[0] is None and depths[1] is not None
+
+    @pytest.mark.parametrize("q", [0.4, 0.45])
+    def test_budgeted_search_answers_the_first_depth_where_success_rises(self, q):
+        # At surplus 1, P(z) first rises, then falls: the answer is the first
+        # z at or below the target, even where a later z lies above it.
+        power = MiningPowerSplit(q)
+        values = [success(q, z, Variant.BUDGETED, 1) for z in range(200)]
+        assert values[1] > values[0]
+        targets = [values[0], (values[0] + values[1]) / 2, values[0] * 0.9]
+        answers = model_module._min_depths(power, targets, Variant.BUDGETED, 1)
+        assert answers[:2] == [0, 0]
+        assert answers == [
+            next(z for z, value in enumerate(values) if value <= target)
+            for target in targets
+        ]
 
     def test_one_scan_checks_every_target_before_any_answer(self):
         with pytest.raises(ValueError, match="target must be in"):
