@@ -29,18 +29,27 @@ tile joins, and only then do they compact.  Once few walks are left, the
 kernel draws a block of flips per walk in one call and finds each walk's end
 in their cumulative sums; later draws are wasted.
 
-A call of more than one tile of walks splits its trials into contiguous
-ranges, one per CPU in os.sched_getaffinity(0) (at most one per tile), and
-the engine sums their counts.  The calling process counts the first range,
-and an os.fork child each other one, holding its own tiles in memory and
-sending its counts back pickled through a pipe; every child is reaped before
-the call returns or raises.  `taskset -c 0` pins a run to one CPU, and so to
-one process; where os.sched_getaffinity is missing, every call runs in one.
+A call of at least two shards' worth of walks (_SHARD_WALKS each, counting
+every trial of every race, wait and catch-up cell) splits its trials into
+contiguous ranges, one per CPU in os.sched_getaffinity(0) at most, and the
+engine sums their counts.  The calling process counts the first range and a
+kept worker each other one.  A worker is an os.fork child, forked the first
+time a call needs it and kept until exit, so the pool holds at most one
+fewer than the usable CPUs; it reads pickled tasks from a pipe, holds its
+own tiles in memory and sends back integer counts only.  The flip cap
+travels with each task.  Only the process that forked the pool uses it (a
+forked child drops it), and one thread at a time: a call that finds the
+pool busy counts every range itself.  At exit the workers get EOF on their
+task pipes and are reaped; if their owner is killed, they get EOF all the
+same and leave.  `taskset -c 0` pins a run to one CPU, and so to one
+process; where os.sched_getaffinity is missing, every call runs in one.
 numpy's import already starts a second thread, so Python 3.12+ warns on
-os.fork; the children run only numpy ufuncs and pickle, then leave with
-os._exit.  Trial t draws its coins from a counter-based substream keyed by
-(master_seed, t), and a walk's key advances along it flip by flip, so
-results are bit-identical for a given
+os.fork, once per worker; the workers run only numpy ufuncs and pickle, and
+leave with os._exit.
+
+Trial t draws its coins from a counter-based substream keyed by (master_seed,
+t), and a walk's key advances along it flip by flip, so results are
+bit-identical for a given
 
     (config, trials, master_seed)
 
@@ -50,11 +59,13 @@ only, hence order-insensitive, and histogram keys ascend.
 
 from __future__ import annotations
 
-import functools
+import atexit
+import contextlib
 import itertools
 import math
 import os
 import pickle
+import threading
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -84,6 +95,15 @@ _FLIP_LIMIT = 2**60  # more coin flips than any run makes
 # again.  The arrays compact once _LIVE_FRACTION or less of them is live.
 _PARKED = -(2**62)
 _LIVE_FRACTION = 0.75
+# Walks a shard gets at least.  On a 2-vCPU Xeon a task sent to a kept
+# worker costs about 1.5 ms (a 64-trial race: 1.7 ms here, 3.2 ms sharded);
+# split in two, grid-cell calls of 2,000-4,000 walks saved 3-24%, within the
+# host's swings, and calls of 8,000 saved 15-29% (BENCH_23.json).
+_SHARD_WALKS = 4096
+# Kept workers, (pid, write end of the task pipe, reply reader), forked on
+# demand, and the lock a call holds while it uses them.
+_pool: list[tuple] = []
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -348,71 +368,152 @@ def _sum_counts(counts) -> np.ndarray:
     return total
 
 
-def _sharded(count, bounds: list[int]) -> list:
-    """count(start, stop) for each pair of neighbouring bounds, in order.
-
-    This process counts the first range and a forked child each other one.
-    A child pickles its counts, or the exception it raised with its
-    traceback, into a pipe and leaves with os._exit, so none of this
-    process's clean-up runs twice.  Every child is reaped before this
-    returns or raises; if this process's own range raises, the children are
-    killed first.  A child's exception is raised here, chained to its
-    traceback.
-    """
-    children = []  # (pid, read end of its pipe)
+def _spawn() -> tuple:
+    """Fork a kept worker: (pid, write end of its task pipe, its reply reader)."""
+    task_read, tasks = os.pipe()
+    replies, reply_write = os.pipe()
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if not pid:
-                    _child(count, start, stop, write)
-            except OSError:  # no child to read from
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-            children.append((pid, read))
-        parts = [count(bounds[0], bounds[1])]
-    except BaseException:
-        import signal  # a 1 ms import that only a failing call needs
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
+        pid = os.fork()
+        if not pid:
+            _serve(task_read, reply_write)
+    except BaseException:  # no worker to talk to
+        os.close(tasks)
+        os.close(replies)
         raise
     finally:
-        ended = []
-        for pid, read in children:
-            with open(read, "rb") as pipe:
-                ended.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
-    for pid, payload, status in ended:
-        if status:
-            raise RuntimeError(f"shard worker {pid} ended with wait status {status}")
-        trace, value = pickle.loads(payload)
+        os.close(task_read)
+        os.close(reply_write)
+    return pid, tasks, open(replies, "rb")
+
+
+def _serve(tasks: int, replies: int) -> NoReturn:
+    """A worker's loop: for each task read from fd tasks, pickle (None, counts)
+    or (traceback, exception) into fd replies.
+
+    A task is (DEFAULT_MAX_BLOCKS, _counts args, start, stop); the flip cap
+    travels with it because callers may change it at any time.  The worker
+    first closes every descriptor it inherited but 0-2 and its two pipe ends,
+    so it holds open nothing its owner closes, and ignores SIGINT, so an
+    interrupt reaches the owner alone, which ends the call's workers itself.
+    It leaves with os._exit, so none of the owner's clean-up runs twice:
+    status 0 at EOF, 1 if a task cannot be read or a reply written.
+    """
+    global DEFAULT_MAX_BLOCKS
+    status = 1
+    try:
+        import signal  # a 1 ms import that only a new worker needs
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for low, high in itertools.pairwise([2, *sorted((tasks, replies)), 2**31 - 1]):
+            os.closerange(low + 1, high)  # an empty range closes nothing
+        with open(tasks, "rb") as reader, open(replies, "wb") as writer:
+            while reader.peek(1):
+                DEFAULT_MAX_BLOCKS, args, start, stop = pickle.load(reader)
+                try:
+                    message = None, _counts(*args, start, stop)
+                except BaseException as exc:
+                    import traceback  # only a failing task needs it
+
+                    message = traceback.format_exc(), exc
+                pickle.dump(message, writer)
+                writer.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _end(workers) -> dict[int, int]:
+    """Kill, reap and drop workers from the pool; returns their wait statuses by pid.
+
+    A worker that has already ended keeps the status it ended with.
+    """
+    import signal  # a 1 ms import that only a failing call needs
+
+    statuses = {}
+    for worker in workers:
+        pid, tasks, replies = worker
+        _pool.remove(worker)
+        os.close(tasks)
+        replies.close()
+        os.kill(pid, signal.SIGKILL)
+        statuses[pid] = os.waitpid(pid, 0)[1]
+    return statuses
+
+
+def _sharded(args: tuple, bounds: list[int]) -> list:
+    """_counts(*args, start, stop) for each pair of neighbouring bounds, in order.
+
+    This process counts the first range and a kept worker each other one;
+    the pool forks the workers it lacks.  A call that finds the pool in use
+    by another thread counts all the ranges in this process.  A worker's
+    exception is raised here, chained to its traceback, and the worker stays
+    in the pool.  A worker that dies fails the call and is reaped; the next
+    call forks its replacement.  If this process's own range raises, the
+    call's workers are killed and reaped, so no later call reads their
+    replies.
+    """
+    if len(bounds) < 3 or not _pool_lock.acquire(blocking=False):
+        return [_counts(*args, bounds[0], bounds[-1])]
+    try:
+        while len(_pool) < len(bounds) - 2:
+            _pool.append(_spawn())
+        workers = _pool[: len(bounds) - 2]
+        replies = [None] * len(workers)
+        try:
+            for (_, tasks, _), start, stop in zip(workers, bounds[1:-1], bounds[2:]):
+                task = memoryview(pickle.dumps((DEFAULT_MAX_BLOCKS, args, start, stop)))
+                with contextlib.suppress(BrokenPipeError):  # a dead worker fails below
+                    while task:  # a write may take part of a large task
+                        task = task[os.write(tasks, task) :]
+            parts = [_counts(*args, bounds[0], bounds[1])]
+            for i, (_, _, reader) in enumerate(workers):
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    replies[i] = pickle.load(reader)
+        finally:
+            ended = _end([w for w, reply in zip(workers, replies) if reply is None])
+    finally:
+        _pool_lock.release()
+    for (pid, _, _), reply in zip(workers, replies):
+        if reply is None:
+            raise RuntimeError(f"shard worker {pid} ended with wait status {ended[pid]}")
+        trace, value = reply
         if trace:
             raise value from RuntimeError(f"in shard worker {pid}:\n{trace}")
         parts.append(value)
     return parts
 
 
-def _child(count, start: int, stop: int, write: int) -> NoReturn:
-    """Pickle (None, count(start, stop)), or (traceback, exception), into fd write.
+def _drop_pool() -> list[int]:
+    """Close every pipe of the pool and empty it; returns the workers' pids."""
+    for _, tasks, replies in _pool:
+        os.close(tasks)
+        replies.close()
+    pids = [pid for pid, _, _ in _pool]
+    _pool.clear()
+    return pids
 
-    Exits with status 0 once the message is written, and 1 if it cannot be.
+
+@atexit.register
+def _close_pool() -> None:
+    """End the kept workers: close every task pipe, then reap each worker.
+
+    A worker exits at EOF on its task pipe, so once all are closed no wait
+    depends on the order of the others.
     """
-    status = 1
-    try:
-        try:
-            message = None, count(start, stop)
-        except BaseException as exc:
-            import traceback  # only a failing worker needs it
+    with _pool_lock:
+        for pid in _drop_pool():
+            os.waitpid(pid, 0)
 
-            message = traceback.format_exc(), exc
-        with open(write, "wb") as pipe:
-            pickle.dump(message, pipe)
-        status = 0
-    finally:
-        os._exit(status)
+
+def _forget_pool() -> None:
+    """In a forked child: the pool is its parent's, so drop it."""
+    global _pool_lock
+    _pool_lock = threading.Lock()  # another thread may have held the parent's
+    _drop_pool()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
@@ -420,11 +521,11 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
 
     races and waits are master seeds; cells are (deficit, budget, master_seed),
     whose walks win at 0 and lose at deficit + budget.  _counts walks them.
-    A call of more than one tile of walks splits its trials into contiguous
-    ranges, one per usable CPU, which _sharded counts in forked workers; each
-    trial draws from its own stream, so the summed counts are the same at any
-    split.  Returns (a SimulationResult per race, a normalized k histogram per
-    wait, a win fraction per cell).
+    A call splits its trials into contiguous ranges, one per usable CPU but
+    none of fewer than _SHARD_WALKS walks, which _sharded counts with the
+    kept workers; each trial draws from its own stream, so the summed counts
+    are the same at any split.  Returns (a SimulationResult per race, a
+    normalized k histogram per wait, a win fraction per cell).
     """
     cells = list(cells)
     _check_trials(trials)
@@ -433,11 +534,11 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
     for deficit, budget, _ in cells:
         _check_catch_up(deficit, budget)
     streams, live = [*races, *waits], [cell for cell in cells if cell[0]]
-    tiles = -(-trials * (len(streams) + len(live)) // _BATCH_WALKS)
+    walks = trials * (len(streams) + len(live))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    shards = max(1, min(cpus, trials, tiles))
-    count = functools.partial(_counts, config, streams, len(races), live)
-    parts = _sharded(count, [i * trials // shards for i in range(shards + 1)])
+    shards = max(1, min(cpus, trials, walks // _SHARD_WALKS))
+    args = config, streams, len(races), live
+    parts = _sharded(args, [i * trials // shards for i in range(shards + 1)])
     k_counts = [_sum_counts(c) for c in zip(*(k for k, _ in parts))]
     wins, capped = sum(ends for _, ends in parts)
     # Keys ascend, so the histograms do not depend on the tiles or the split.

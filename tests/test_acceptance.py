@@ -228,6 +228,7 @@ def test_criterion_09_determinism(tmp_path, monkeypatch):
     config = TrialConfig(MiningPowerSplit(0.3), 4)
     whole = run_trials(config, 10_000, 13)
     monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 997)
+    simulate_module._close_pool()  # so the workers forked from now on walk 997-wide tiles
     chunked = run_trials(config, 10_000, 13)
     schedule_ok = whole == chunked
     report(

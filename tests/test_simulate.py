@@ -1,8 +1,11 @@
+import concurrent.futures
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -75,8 +78,14 @@ def cap_kinds(records, z, max_blocks):
 
 
 def set_cpus(monkeypatch, cpus):
-    """Make the simulator see cpus usable CPUs, so a call of more tiles runs in that many."""
+    """Make the simulator see cpus usable CPUs, so a call of enough walks runs in that many."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def set_width(monkeypatch, width):
+    """Walk tiles of width walks, in this process and in the workers forked from now on."""
+    monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
+    simulate_module._close_pool()
 
 
 def counting_joins(monkeypatch):
@@ -262,11 +271,11 @@ class TestRunTrials:
     def test_independent_of_batch_width(self, monkeypatch):
         config = TrialConfig(MiningPowerSplit(0.35), 3)
         whole = run_trials(config, 10_000, 7)
-        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 613)
+        set_width(monkeypatch, 613)
         chunked = run_trials(config, 10_000, 7)
         assert whole == chunked
 
-    # At width 128 the call has 79 tiles, so 3 CPUs shard it on any host.
+    # 10,000 walks make two shards at 3 CPUs on any host.
     @pytest.mark.parametrize(
         ("width", "cpus"),
         [(128, 3), (1 << 14, 3), (128, 1), (1 << 14, 1)],
@@ -276,7 +285,7 @@ class TestRunTrials:
         set_cpus(monkeypatch, cpus)
         config = TrialConfig(MiningPowerSplit(0.35), 3)
         whole = run_trials(config, 10_000, 7)
-        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", width)
+        set_width(monkeypatch, width)
         histogram = run_trials(config, 10_000, 7).k_histogram
         assert list(histogram) == sorted(histogram) and histogram == whole.k_histogram
 
@@ -611,8 +620,43 @@ class TestTrialBound:
 
 
 def assert_no_child_left():
+    """Once the pool of kept workers is closed, this process has no child."""
+    simulate_module._close_pool()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def pool_pids():
+    return [pid for pid, _, _ in simulate_module._pool]
+
+
+def counting_forks(monkeypatch):
+    """Patch os.fork to log each fork; returns the log."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def shard_every_call(monkeypatch, cpus):
+    """Let a call of any size take a shard per CPU, up to one per trial."""
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(simulate_module, "_SHARD_WALKS", 1)
+
+
+def one_process(fn):
+    """fn(), with every call it makes counted in this process alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_cpus(mp, 1)
+        return fn()
+
+
+def logging_ranges(monkeypatch):
+    """Patch _counts to log the trial range of each count this process makes."""
+    ranges, counts = [], simulate_module._counts
+    monkeypatch.setattr(
+        simulate_module, "_counts", lambda *args: ranges.append(args[-2:]) or counts(*args)
+    )
+    return ranges
 
 
 def broken_counts(broken_shard):
@@ -627,11 +671,15 @@ def broken_counts(broken_shard):
     return counts_or_raise
 
 
-class TestShards:
-    """A call of more than one tile splits its trials across the usable CPUs.
+CONFIG = TrialConfig(MiningPowerSplit(0.3), 2)
 
-    Each shard is a forked child, but for the first, which the calling
-    process counts itself; their counts add up to the one-process result.
+
+class TestShards:
+    """A call of enough walks splits its trials across the usable CPUs.
+
+    The calling process counts the first range and a kept worker each other
+    one; their counts add up to the one-process result.  The pool forks a
+    worker the first time a call needs it and keeps it until exit.
     """
 
     @staticmethod
@@ -649,79 +697,133 @@ class TestShards:
         set_flip_cap(monkeypatch, 10)
         outputs = []
         for cpus in (1, 2, 3):
-            set_cpus(monkeypatch, cpus)
+            shard_every_call(monkeypatch, cpus)
             outputs.append(self.mixed_calls())
-            assert_no_child_left()
+            assert len(pool_pids()) == cpus - 1
+        assert_no_child_left()
         assert outputs[0] == outputs[1] == outputs[2]
         (races, _, _), (z0_races, _, _) = outputs[0]
         assert all(r.capped_count for r in [*races, *z0_races])
 
-    def test_shards_fork_only_past_one_tile(self, monkeypatch):
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    def test_a_shard_gets_at_least_shard_walks(self, monkeypatch):
+        ranges = logging_ranges(monkeypatch)
         set_cpus(monkeypatch, 3)
-        config = TrialConfig(MiningPowerSplit(0.3), 2)
-        run_trials(config, simulate_module._BATCH_WALKS, 5)
-        assert not forks
-        run_trials(config, simulate_module._BATCH_WALKS + 1, 5)
+        shard, power = simulate_module._SHARD_WALKS, MiningPowerSplit(0.3)
+        cells = [(1, 5, seed) for seed in range(4)]  # four walks per trial
+        run_trials(CONFIG, 2 * shard - 1, 5)
+        run_trials(CONFIG, 2 * shard, 5)
+        empirical_catch_up(power, cells, shard // 2)
+        empirical_catch_up(power, [*cells, (0, 5, 9)], shard // 2 - 1)  # deficit 0: no walk
+        simulate_module._simulate(CONFIG, shard, [1, 2], [3])  # three walks per trial
+        assert ranges == [
+            (0, 2 * shard - 1), (0, shard), (0, shard // 4), (0, shard // 2 - 1), (0, shard // 3)
+        ]
+        assert_no_child_left()
+
+    def test_forks_once_per_worker(self, monkeypatch):
+        forks = counting_forks(monkeypatch)
+        shard_every_call(monkeypatch, 3)
+        run_trials(CONFIG, 2, 5)  # two trials make two shards
         assert len(forks) == 1
-        run_trials(config, 10 * simulate_module._BATCH_WALKS, 5)
-        assert len(forks) == 3
+        sizes = (3, 50, 1_000, 3, 7)
+        results = [run_trials(CONFIG, trials, 5) for trials in sizes]
+        assert len(forks) == 2
+        assert results == [one_process(lambda: run_trials(CONFIG, n, 5)) for n in sizes]
+        assert_no_child_left()
+
+    def test_a_task_larger_than_a_pipe_buffer(self, monkeypatch):
+        shard_every_call(monkeypatch, 2)
+        cells = [(1, 2, seed) for seed in range(20_000)]  # pickled, over 64 KiB
+        power = MiningPowerSplit(0.3)
+        rates = empirical_catch_up(power, cells, 2)
+        assert rates == one_process(lambda: empirical_catch_up(power, cells, 2))
+        assert len(pool_pids()) == 1
         assert_no_child_left()
 
     def test_one_process_without_an_affinity_mask(self, monkeypatch):
-        config = TrialConfig(MiningPowerSplit(0.3), 2)
         set_cpus(monkeypatch, 2)
-        sharded = run_trials(config, 40_000, 5)
+        sharded = run_trials(CONFIG, 40_000, 5)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "fork", must_not_run)
-        assert run_trials(config, 40_000, 5) == sharded
+        assert run_trials(CONFIG, 40_000, 5) == sharded
+
+    def test_the_flip_cap_travels_with_each_task(self, monkeypatch):
+        forks = counting_forks(monkeypatch)
+        shard_every_call(monkeypatch, 2)
+        config = TrialConfig(MiningPowerSplit(0.45), 3, 4)
+        run_trials(config, 1_000, 5)  # the worker is forked at the default cap
+        set_flip_cap(monkeypatch, 10)
+        capped = run_trials(config, 1_000, 5)
+        assert capped == one_process(lambda: run_trials(config, 1_000, 5))
+        assert capped.capped_count and len(forks) == 1
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_a_childs_exception_reaches_the_caller(self, monkeypatch, cpus):
-        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+    def test_a_workers_exception_reaches_the_caller(self, monkeypatch, cpus):
         monkeypatch.setattr(simulate_module, "_counts", broken_counts(1_000 // cpus))
-        set_cpus(monkeypatch, cpus)
+        shard_every_call(monkeypatch, cpus)
         with pytest.raises(KeyError, match="shard at") as excinfo:
-            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
-        assert "counts_or_raise" in str(excinfo.value.__cause__)  # the child's traceback
+            run_trials(CONFIG, 1_000, 5)
+        assert "counts_or_raise" in str(excinfo.value.__cause__)  # the worker's traceback
+        workers = pool_pids()
+        assert len(workers) == cpus - 1
+        # 998 trials put no range at the broken start; the same workers count them.
+        assert run_trials(CONFIG, 998, 5) == one_process(lambda: run_trials(CONFIG, 998, 5))
+        assert pool_pids() == workers
         assert_no_child_left()
 
-    def test_the_callers_exception_kills_the_children(self, monkeypatch):
-        def counts(*args):
-            if args[-2] == 0:
-                raise KeyError("shard at 0 broke")
-            time.sleep(60)  # a child left running would hold the call up this long
+    def test_the_callers_exception_ends_the_calls_workers(self, monkeypatch):
+        original = simulate_module._counts
 
-        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
+        def counts(config, streams, *rest):
+            if streams == [5]:
+                if rest[-2] == 0:
+                    raise KeyError("shard at 0 broke")
+                time.sleep(60)  # a worker left running would hold a call up this long
+            return original(config, streams, *rest)
+
         monkeypatch.setattr(simulate_module, "_counts", counts)
-        set_cpus(monkeypatch, 3)
+        shard_every_call(monkeypatch, 3)
         start = time.monotonic()
         with pytest.raises(KeyError, match="shard at 0"):
-            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
+            run_trials(CONFIG, 1_000, 5)
+        assert not pool_pids()
+        assert_no_child_left()  # killed and reaped
+        # The next call forks new workers and reads no reply meant for the last.
+        assert run_trials(CONFIG, 1_000, 6) == one_process(lambda: run_trials(CONFIG, 1_000, 6))
         assert time.monotonic() - start < 30
         assert_no_child_left()
 
     def test_a_worker_that_dies_fails_the_call(self, monkeypatch):
         original = simulate_module._counts
 
-        def counts(*args):
-            if args[-2]:
-                os._exit(3)  # a child's range: it dies without writing its counts
-            return original(*args)
+        def counts(config, streams, *rest):
+            if streams == [5] and rest[-2]:
+                os._exit(3)  # a worker's range: it dies without writing its counts
+            return original(config, streams, *rest)
 
-        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
         monkeypatch.setattr(simulate_module, "_counts", counts)
-        set_cpus(monkeypatch, 2)
+        forks = counting_forks(monkeypatch)
+        shard_every_call(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"shard worker \d+ ended with wait status 768$"):
-            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
+            run_trials(CONFIG, 1_000, 5)
+        assert not pool_pids()
+        assert_no_child_left()  # reaped
+        assert run_trials(CONFIG, 1_000, 6) == one_process(lambda: run_trials(CONFIG, 1_000, 6))
+        assert len(forks) == 2  # the next call forked a replacement
         assert_no_child_left()
 
-    def test_a_failed_fork_kills_the_children_and_closes_the_pipes(self, monkeypatch):
-        def counts(*args):
-            time.sleep(60)  # a child left running would hold the call up this long
+    def test_a_worker_killed_while_idle_fails_the_next_call(self, monkeypatch):
+        shard_every_call(monkeypatch, 2)
+        expected = run_trials(CONFIG, 1_000, 5)
+        [pid] = pool_pids()
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match=rf"shard worker {pid} ended with wait status 9$"):
+            run_trials(CONFIG, 1_000, 5)
+        assert run_trials(CONFIG, 1_000, 5) == expected
+        assert len(pool_pids()) == 1 and pool_pids() != [pid]
+        assert_no_child_left()
 
+    def test_a_failed_fork_leaks_no_descriptor(self, monkeypatch):
         forked, fork = [], os.fork
 
         def fork_once():
@@ -730,18 +832,119 @@ class TestShards:
             forked.append(fork())
             return forked[-1]
 
-        monkeypatch.setattr(simulate_module, "_BATCH_WALKS", 128)
-        monkeypatch.setattr(simulate_module, "_counts", counts)
         monkeypatch.setattr(os, "fork", fork_once)
-        set_cpus(monkeypatch, 4)
+        shard_every_call(monkeypatch, 4)
         fds = len(os.listdir("/proc/self/fd"))
-        start = time.monotonic()
         with pytest.raises(OSError, match="no more processes"):
-            run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 1_000, 5)
-        assert time.monotonic() - start < 30
-        assert len(forked) == 1  # the second fork failed, so no third was tried
+            run_trials(CONFIG, 1_000, 5)
+        assert pool_pids() == forked  # the second fork failed, so no third was tried
+        assert len(os.listdir("/proc/self/fd")) == fds + 2  # the live worker's two pipe ends
         assert_no_child_left()
         assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_call_that_finds_the_pool_busy_runs_in_one_process(self, monkeypatch):
+        shard_every_call(monkeypatch, 2)
+        expected = run_trials(CONFIG, 1_000, 5)
+        ranges = logging_ranges(monkeypatch)
+        monkeypatch.setattr(os, "fork", must_not_run)
+        with simulate_module._pool_lock:
+            assert run_trials(CONFIG, 1_000, 5) == expected
+        assert ranges == [(0, 1_000)]
+        assert_no_child_left()
+
+    def test_threads_get_the_sequential_results(self, monkeypatch):
+        forks = counting_forks(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        configs = [TrialConfig(MiningPowerSplit(q), 3) for q in (0.2, 0.3, 0.4)] * 3
+        expected = [one_process(lambda: run_trials(c, 20_000, 7)) for c in configs]
+        barrier = threading.Barrier(4)
+
+        def calls(_):
+            barrier.wait(timeout=60)
+            return [run_trials(c, 20_000, 7) for c in configs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads trade the interpreter often
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as threads:
+                results = list(threads.map(calls, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+        assert len(forks) == 1  # one pool, one worker
+        assert_no_child_left()
+
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+        shard_every_call(monkeypatch, 2)
+        expected = run_trials(CONFIG, 1_000, 5)
+        workers = pool_pids()
+        pid = os.fork()
+        if not pid:
+            status = 1
+            try:
+                inherited = pool_pids()
+                same = run_trials(CONFIG, 1_000, 5) == expected
+                status = 0 if not inherited and same and pool_pids() != workers else 2
+                simulate_module._close_pool()
+            finally:
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert run_trials(CONFIG, 1_000, 5) == expected and pool_pids() == workers
+        assert_no_child_left()
+
+
+# Shards a call over {cpus} CPUs and prints the kept workers' pids, then
+# checks that a pipe the owner closes reads EOF although each worker was
+# forked with its write end open.
+POOL_SCRIPT = """\
+import os, time
+import doublespend.simulate as sim
+from doublespend import MiningPowerSplit, TrialConfig
+
+os.sched_getaffinity = lambda pid: set(range({cpus}))
+sim._SHARD_WALKS = 1
+read, write = os.pipe()
+sim.run_trials(TrialConfig(MiningPowerSplit(0.3), 2), 100, 5)
+print(*[pid for pid, _, _ in sim._pool], flush=True)
+os.close(write)
+assert os.read(read, 1) == b""
+{then}
+"""
+
+
+def running(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_exit_is_prompt_and_reaps_every_worker(cpus):
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT.format(cpus=cpus, then="")],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == cpus - 1
+    assert not any(map(running, pids))
+
+
+def test_workers_end_with_their_owner():
+    with subprocess.Popen(
+        [sys.executable, "-c", POOL_SCRIPT.format(cpus=3, then="time.sleep(60)")],
+        stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    ) as owner:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        owner.kill()
+    deadline = time.monotonic() + 5
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert len(pids) == 2 and not any(map(running, pids))
 
 
 # Runs one kernel with _keep patched to drop one live walk from every
