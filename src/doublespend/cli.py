@@ -39,8 +39,9 @@ DEFAULT_SEED = 20090103
 DEFAULT_TARGETS = (0.001, 0.01, 0.1, 0.5)
 DEFAULT_TRIALS = 100_000
 MAX_Q_RANGE_VALUES = 100_000
-# The closed-form model does O(z) work (about a second at this z); a
-# simulated walk stops at simulate.DEFAULT_MAX_BLOCKS flips instead.
+# The closed-form model does O(z) work (about half a second at this z, in a
+# fresh process); a simulated walk stops at simulate.DEFAULT_MAX_BLOCKS
+# flips instead.
 MAX_Z = 100_000
 # A chase walk that drifts away from the attacker runs until it falls this
 # far behind (or reaches a million flips), so validate bounds it; prob and

@@ -60,6 +60,8 @@ class ProbabilityRangeError(ArithmeticError):
 
 
 def _as_probability(raw: float) -> float:
+    if 0.0 < raw < 1.0:
+        return raw
     if not (-GUARD_BAND <= raw <= 1.0 + GUARD_BAND):
         raise ProbabilityRangeError(f"probability out of guard band: {raw!r}")
     return min(1.0, max(0.0, raw))
@@ -284,21 +286,22 @@ def _poisson_upper_tail(rate: float, k_from: int, term_at_k_from: float) -> floa
     return total
 
 
-def _catch_up_factor(query: AttackQuery, deficit: int) -> float:
-    if query.variant is Variant.BUDGETED:
-        budget = deficit + query.budget_surplus - 1  # z + surplus - k
-        return catch_up_limited(deficit, budget, query.power)
-    return catch_up_unlimited(deficit, query.power)
-
-
 def _terms(query: AttackQuery) -> tuple[list[float], list[float]]:
     """The attack sum's pmf(k) and catch-up lists over k = 0..K, as plain
     floats; K is z for the original variant and z + 1 for the others."""
     k_top = query.z if query.variant is Variant.ORIGINAL else query.z + 1
     pmf = _poisson_terms(poisson_rate(query.z, query.power), k_top)
+    deficits = range(k_top, 0, -1)
+    if query.variant is Variant.BUDGETED:
+        # catch_up_limited(d, budget = d + surplus - 1 = z + surplus - k) at
+        # its core: d >= 1 and surplus >= 1 keep its rules.
+        s, q = query.budget_surplus - 1, query.power.q
+        catch = [_ruin(d + s, 2 * d + s, q) for d in deficits]
+    else:
+        catch = [catch_up_unlimited(d, query.power) for d in deficits]
     # At k = K the attacker has already reached the variant's target: an
     # immediate win in every variant, including the budgeted race.
-    return pmf, [_catch_up_factor(query, k_top - k) for k in range(k_top)] + [1.0]
+    return pmf, catch + [1.0]
 
 
 def attack_summands(query: AttackQuery) -> list[Summand]:

@@ -253,6 +253,14 @@ class TestAttackSuccess:
     def test_results_inside_the_guard_band_are_clipped(self):
         assert model_module._as_probability(-model_module.GUARD_BAND) == 0.0
         assert model_module._as_probability(1.0 + model_module.GUARD_BAND) == 1.0
+        # -0.0 comes back as +0.0; the ends and their neighbours pass as they are.
+        clipped = model_module._as_probability(-0.0)
+        assert clipped == 0.0 and math.copysign(1.0, clipped) == 1.0
+        for raw in [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]:
+            assert model_module._as_probability(raw) == raw
+        with pytest.raises(ProbabilityRangeError) as excinfo:
+            model_module._as_probability(math.nan)
+        assert str(excinfo.value) == "probability out of guard band: nan"
 
     @settings(max_examples=60)
     @given(

@@ -440,6 +440,18 @@ class TestGoldenOutputs:
                 ["prob", "--q", "0.25", "--z", "3", "--variant", "original",
                  "--summands", "--format", "json"],
             ),
+            # The budgeted sum, otherwise pinned only through validate; the
+            # summands' deficits run to 71, past the direct-power limit.
+            (
+                "min_z_budgeted.csv",
+                ["min-z", "--q", "0.1,0.3,0.45", "--target",
+                 "0.001,0.01,0.1,0.5", "--variant", "budgeted"],
+            ),
+            (
+                "prob_budgeted_summands.csv",
+                ["prob", "--q", "0.45", "--z", "70", "--variant", "budgeted",
+                 "--summands"],
+            ),
             (
                 "min_z.json",
                 ["min-z", "--q", "0.1,0.3,0.6", "--target", "0.01,0.1",
