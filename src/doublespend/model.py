@@ -327,14 +327,21 @@ def attack_success(query: AttackQuery) -> float:
     exact to machine precision.  Both are math.fsum, correctly rounded, over
     attack_summands' floats.  When p <= q every (1 - catch_up) term of the
     original and corrected variants vanishes, so they return exactly 1.0.
+
+    Each fsum takes its terms largest first.  A correctly rounded sum does
+    not depend on the order of its terms, so the result keeps its bits; but
+    fsum's exact partials stay few when the large terms come first, where
+    k = 0 upward adds the tiniest first.  Each list rises to a peak and
+    falls, a few sorted runs that timsort merges in about linear time.
     """
     pmf, catch = _terms(query)
-    missed = math.fsum([t * (1.0 - c) for t, c in zip(pmf, catch)])
+    missed = math.fsum(sorted([t * (1.0 - c) for t, c in zip(pmf, catch)], reverse=True))
     if missed < 0.5:
         return _as_probability(1.0 - missed)
     rate = poisson_rate(query.z, query.power)
     tail = _poisson_upper_tail(rate, len(pmf), pmf[-1] * rate / len(pmf))
-    return _as_probability(math.fsum([t * c for t, c in zip(pmf, catch)]) + tail)
+    hit = math.fsum(sorted([t * c for t, c in zip(pmf, catch)], reverse=True))
+    return _as_probability(hit + tail)
 
 
 def _check_target(target: float) -> None:

@@ -132,6 +132,30 @@ class TestPlainFloatTerms:
                     assert row.catch_up == catch_up_unlimited(deficit, power)
             assert rows[-1].catch_up == 1.0
 
+    # attack_success hands each list to fsum largest term first, while
+    # success_from_rows sums the rows from k = 0 up.  fsum is correctly
+    # rounded, so its result does not depend on the order of its terms; equal
+    # bits here pin that, over all of (0, 1) and every variant.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        z=st.integers(min_value=0, max_value=2000),
+        variant=st.sampled_from(list(Variant)),
+        surplus=st.sampled_from([1, 2, 35, 1000]),
+    )
+    def test_sum_order_keeps_the_bits(self, q, z, variant, surplus):
+        query = AttackQuery(MiningPowerSplit(q), z, variant, surplus)
+        assert attack_success(query) == success_from_rows(query)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+    def test_sum_order_keeps_the_bits_at_depth_100000(self, variant):
+        # Rate 42,857 takes the log-space pmf, and the Poisson mode lies far
+        # below K, so neither k = 0 upward nor downward puts the largest
+        # terms first.
+        query = AttackQuery(MiningPowerSplit(0.3), 100_000, variant)
+        assert poisson_rate(query.z, query.power) > model_module._PMF_LOGSPACE_RATE
+        assert attack_success(query) == success_from_rows(query)
+
     @pytest.mark.parametrize("q", PLAIN_FLOAT_QS)
     def test_catch_up_limited_is_the_ruin_game(self, q):
         power = MiningPowerSplit(q)

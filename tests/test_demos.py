@@ -9,11 +9,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 
-# 02 is left out: its min-z sweep over q up to 0.48 takes about 11 s, which
-# would lengthen the suite by as much; it waits for a faster min-z search for
-# p > q.
 DEMOS = [
     "01_worked_example.py",
+    "02_confirmation_depth_curves.py",
     "03_budget_convergence.py",
     "04_model_vs_simulation.py",
     "05_error_attribution.py",
