@@ -13,7 +13,8 @@ The model has three moving parts:
   of z+1), and ``budgeted`` (the corrected race with a finite loss budget,
   which is the version a finite simulation can realize).
 
-Numerical policy: ratio powers go through log space for large exponents, the
+Numerical policy: ratio powers go through log space for large exponents and,
+near a fair game, through log1p/expm1 where 1 - ratio**m would cancel; the
 Poisson pmf is built by multiplicative recurrence (log space for large rates),
 and the attack summation switches to an all-positive-terms form when the
 result is small so tiny probabilities keep full relative accuracy.
@@ -116,10 +117,6 @@ class RuinGameSpec:
         if not 0.0 < self.win_prob < 1.0:
             raise ValueError(f"win_prob must be in (0, 1), got {self.win_prob!r}")
 
-    @property
-    def loss_prob(self) -> float:
-        return 1.0 - self.win_prob
-
 
 @dataclass(frozen=True)
 class AttackQuery:
@@ -180,6 +177,16 @@ def _ruin(i: int, n: int, q: float) -> float:
     p = 1.0 - q
     if abs(p - q) <= EQUAL_POWER_TOL:
         return _as_probability(i / n)
+    if abs(p - q) < 1e-3:
+        # Near a fair game 1 - ratio**m cancels, and the ratio's rounding is
+        # a large share of its distance from 1: the powers gave 4e-9 relative
+        # error at |p - q| = 4e-12, (i, n) = (1, 1000).  From the gap, exact
+        # here (Sterbenz), log1p/expm1 keep each factor to a few ulps.  From
+        # 1e-3 on the powers lose at most a few hundred ulps and keep their
+        # bits.
+        lr = math.log1p(-abs(p - q) / max(p, q))  # log of the ratio below 1
+        raw = math.expm1(i * lr) / math.expm1(n * lr)
+        return _as_probability(raw if q > p else math.exp((n - i) * lr) * raw)
     if q > p:
         t = p / q
         raw = (1.0 - _pow_ratio(t, i)) / (1.0 - _pow_ratio(t, n))
@@ -298,7 +305,10 @@ def _terms(query: AttackQuery) -> tuple[list[float], list[float]]:
         s, q = query.budget_surplus - 1, query.power.q
         catch = [_ruin(d + s, 2 * d + s, q) for d in deficits]
     else:
-        catch = [catch_up_unlimited(d, query.power) for d in deficits]
+        # catch_up_unlimited(d) at its core: d >= 1 keeps its rule, and a
+        # power of q/p < 1 needs no clipping.
+        p, q = query.power.p, query.power.q
+        catch = [1.0] * k_top if p <= q else [_pow_ratio(q / p, d) for d in deficits]
     # At k = K the attacker has already reached the variant's target: an
     # immediate win in every variant, including the budgeted race.
     return pmf, catch + [1.0]
@@ -328,6 +338,12 @@ def attack_success(query: AttackQuery) -> float:
     attack_summands' floats.  When p <= q every (1 - catch_up) term of the
     original and corrected variants vanishes, so they return exactly 1.0.
 
+    Where the pmf comes from the recurrence (rate <= 700), the positive form
+    is taken first, and a value below 1/2 - GUARD_BAND is returned without
+    the missed sum: the two forms add up to 1 far more closely than that,
+    so the missed sum would be above 1/2 and pick the same float.  A scan
+    over z, where P is mostly below 1/2, so sums one series per depth.
+
     Each fsum takes its terms largest first.  A correctly rounded sum does
     not depend on the order of its terms, so the result keeps its bits; but
     fsum's exact partials stay few when the large terms come first, where
@@ -335,13 +351,34 @@ def attack_success(query: AttackQuery) -> float:
     falls, a few sorted runs that timsort merges in about linear time.
     """
     pmf, catch = _terms(query)
+    rate = poisson_rate(query.z, query.power)
+    positive = None
+    if rate <= _PMF_LOGSPACE_RATE:
+        # missed + positive is 1 to within (2 rate + n + 6) 2**-53 < 5e-13,
+        # n the tail's terms (at most rate + 60 sqrt(rate + 1) + 200): two
+        # roundings per pmf step, whose errors weigh k and so add up to
+        # 2 rate; one per product and per 1 - c (none for c >= 1/2); one per
+        # correctly rounded fsum and per tail term added.  The tail's anchor
+        # pmf(K) keeps its relative accuracy unless it underflows, and here
+        # that happens only past 2 rate, where the whole tail is below it:
+        # pmf(k) >= e**-rate >= e**-700 up to the mode.  In log space the
+        # anchor may underflow below the mode: at q = 0.9, z >= 128 it reads
+        # 0, and so would the tail, where P is 1.
+        positive = _positive_form(pmf, catch, rate)
+        if positive < 0.5 - GUARD_BAND:
+            return _as_probability(positive)
     missed = math.fsum(sorted([t * (1.0 - c) for t, c in zip(pmf, catch)], reverse=True))
     if missed < 0.5:
         return _as_probability(1.0 - missed)
-    rate = poisson_rate(query.z, query.power)
+    if positive is None:
+        positive = _positive_form(pmf, catch, rate)
+    return _as_probability(positive)
+
+
+def _positive_form(pmf: list[float], catch: list[float], rate: float) -> float:
+    """attack_success's all-positive form: the success terms plus P(X > K)."""
     tail = _poisson_upper_tail(rate, len(pmf), pmf[-1] * rate / len(pmf))
-    hit = math.fsum(sorted([t * c for t, c in zip(pmf, catch)], reverse=True))
-    return _as_probability(hit + tail)
+    return math.fsum(sorted([t * c for t, c in zip(pmf, catch)], reverse=True)) + tail
 
 
 def _check_target(target: float) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp
 from scipy import stats
 
 _MASK64 = (1 << 64) - 1
@@ -174,3 +175,44 @@ def budgeted_race_law(q: float, z: int, surplus: int = 35) -> float:
             break
         k += 1
     return total
+
+
+def attack_success_mp(q: float, z: int, variant: str, surplus: int = 35) -> float:
+    """attack_success at 60 significant digits, rounded to the nearest float.
+
+    The all-positive form, sum over k < K of pmf(k) * catch_up(K - k) plus
+    P(X >= K), each summed with mpmath's fsum: the pmf by its recurrence
+    from e**-rate, the catch-up terms from their closed forms, and the tail
+    term by term until it stops counting (mpmath's nsum mis-sums this
+    tail).  p is the float 1.0 - q, the model's input, and |p - q| <= 1e-12
+    is a fair game, the model's rule, so the comparison measures the
+    model's arithmetic and not its input or that rule.
+    """
+    with mp.workdps(60):
+        q_, p_ = mp.mpf(q), mp.mpf(1.0 - q)
+        fair = abs(p_ - q_) <= mp.mpf(1e-12)
+        lam = z * q_ / p_
+        k_top = z if variant == "original" else z + 1
+
+        def catch_up(k):
+            deficit = k_top - k
+            if variant != "budgeted":
+                return mp.mpf(1) if p_ <= q_ else (q_ / p_) ** deficit
+            budget = z + surplus - k
+            if fair:
+                return mp.mpf(budget) / (budget + deficit)
+            r = p_ / q_
+            return (1 - r**budget) / (1 - r ** (budget + deficit))
+
+        hit, pmf, k = [], mp.exp(-lam), 0
+        while k < k_top:
+            hit.append(pmf * catch_up(k))
+            k += 1
+            pmf *= lam / k
+        hit_sum, tail = mp.fsum(hit), []
+        negligible = mp.mpf(10) ** -70 * (hit_sum + pmf)
+        while k <= lam or pmf >= negligible:
+            tail.append(pmf)
+            k += 1
+            pmf *= lam / k
+        return float(hit_sum + mp.fsum(tail))

@@ -58,7 +58,6 @@ PUBLIC_API = {
 PUBLIC_PROPERTIES = {
     "ComparisonRow": ("z_score",),
     "MiningPowerSplit": ("p",),
-    "RuinGameSpec": ("loss_prob",),
     "SimulationResult": ("mean_k", "std_err", "success_rate"),
     "Summand": ("product",),
 }

@@ -21,7 +21,7 @@ from doublespend import (
     poisson_rate,
     ruin_win_probability,
 )
-from oracles import attack_success_naive
+from oracles import attack_success_mp, attack_success_naive
 
 # Success probabilities published in the Bitcoin whitepaper (section 11) for
 # the catch-up formulation; an external anchor for the original variant.
@@ -74,7 +74,11 @@ class TestSummands:
 
 
 def success_from_rows(query):
-    """attack_success as a sum over attack_summands' rows, term by term."""
+    """attack_success as a sum over attack_summands' rows, term by term.
+
+    The two-series rule in full: the missed sum first, 1 - missed below 1/2,
+    else the success terms plus the Poisson tail.
+    """
     rows = attack_summands(query)
     missed = math.fsum(row.pmf * (1.0 - row.catch_up) for row in rows)
     if missed < 0.5:
@@ -165,6 +169,135 @@ class TestPlainFloatTerms:
                 assert catch_up_limited(deficit, budget, power) == ruin_win_probability(
                     game
                 ), (deficit, budget)
+
+
+# (q, variant, surplus, z): P crosses 1/2 between z - 1 and z, found by a
+# scan and checked in the test.  Across the grid the crossing depths' rates
+# lie on both sides of the pmf's log-space switch at 700; at surplus 1 P
+# first rises past 1/2 and then falls back below it.
+HALF_CROSSINGS = [
+    (0.45, Variant.ORIGINAL, 35, 24),
+    (0.45, Variant.CORRECTED, 35, 18),
+    (0.45, Variant.BUDGETED, 2, 10),
+    (0.45, Variant.BUDGETED, 35, 18),
+    (0.49, Variant.BUDGETED, 1, 1),
+    (0.49, Variant.BUDGETED, 1, 262),
+    (0.491, Variant.ORIGINAL, 35, 677),
+    (0.491, Variant.CORRECTED, 35, 647),
+    (0.491, Variant.BUDGETED, 35, 594),
+    (0.4915, Variant.CORRECTED, 35, 727),
+    (0.492, Variant.ORIGINAL, 35, 856),
+    (0.492, Variant.BUDGETED, 35, 744),
+    (0.4935, Variant.BUDGETED, 2, 689),
+    (0.494, Variant.BUDGETED, 2, 808),
+]
+EVERY_SPLIT = [(Variant.ORIGINAL, 35), (Variant.CORRECTED, 35)] + [
+    (Variant.BUDGETED, surplus) for surplus in (1, 2, 35)
+]
+
+
+def last_recurrence_depth(power):
+    """The largest z whose rate z q / p the pmf's recurrence still takes."""
+    z = int(model_module._PMF_LOGSPACE_RATE * power.p / power.q)
+    while poisson_rate(z + 1, power) <= model_module._PMF_LOGSPACE_RATE:
+        z += 1
+    while poisson_rate(z, power) > model_module._PMF_LOGSPACE_RATE:
+        z -= 1
+    return z
+
+
+class TestOneSeriesWhereTheBoundSettlesIt:
+    """attack_success returns the positive form at once where it lies below
+    1/2 - GUARD_BAND on the recurrence pmf; success_from_rows applies the
+    two-series rule.  Equal bits show the early return picks the same float."""
+
+    def test_grid_reaches_both_sides_of_the_rate_switch(self):
+        rates = [poisson_rate(z, MiningPowerSplit(q)) for q, _, _, z in HALF_CROSSINGS]
+        assert min(rates) < 20 and max(rates) > model_module._PMF_LOGSPACE_RATE
+        assert any(
+            model_module._PMF_LOGSPACE_RATE - 30 < rate <= model_module._PMF_LOGSPACE_RATE
+            for rate in rates
+        )
+
+    @pytest.mark.parametrize(("q", "variant", "surplus", "z"), HALF_CROSSINGS)
+    def test_bits_at_the_depths_where_success_crosses_one_half(self, q, variant, surplus, z):
+        before, at = success(q, z - 1, variant, surplus), success(q, z, variant, surplus)
+        assert (before < 0.5) != (at < 0.5)
+        for depth in (z - 1, z, z + 1):
+            query = AttackQuery(MiningPowerSplit(q), depth, variant, surplus)
+            assert attack_success(query) == success_from_rows(query), depth
+
+    # q > 1/2 never takes the early return (P >= 1/2), and at q = 0.9,
+    # z >= 128 the log-space pmf(K) underflows: a positive form taken there
+    # would read 0 where P is 1.
+    @pytest.mark.parametrize("q", [0.3, 0.45, 0.4915, 0.55, 0.9])
+    def test_bits_either_side_of_the_log_space_switch(self, q):
+        power = MiningPowerSplit(q)
+        z = last_recurrence_depth(power)
+        depths = [z, z + 1] + ([128, 200] if q == 0.9 else [])
+        for variant, surplus in EVERY_SPLIT:
+            for depth in depths:
+                query = AttackQuery(power, depth, variant, surplus)
+                assert attack_success(query) == success_from_rows(query), (variant, depth)
+        if q == 0.9:
+            assert success(q, 128, Variant.CORRECTED) == 1.0
+
+    # q from 0.1 up keeps the switch at z <= 6,300.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=st.floats(min_value=0.1, max_value=1.0, exclude_max=True),
+        shift=st.integers(min_value=-2, max_value=2),
+        split=st.sampled_from(EVERY_SPLIT),
+    )
+    def test_bits_at_the_log_space_switch(self, q, shift, split):
+        power = MiningPowerSplit(q)
+        query = AttackQuery(power, max(0, last_recurrence_depth(power) + shift), *split)
+        assert attack_success(query) == success_from_rows(query)
+
+
+# Every branch of the model: rate 700 either side (z = 1000 at q >= 0.45),
+# powers past _POW_DIRECT_MAX (z = 70), P below and above 1/2, q > p, and
+# |p - q| either side of EQUAL_POWER_TOL (8e-13, 1.2e-12) and of _ruin's
+# near-fair switch at 1e-3 (9.8e-4, 1.02e-3).
+ORACLE_QS = [0.1, 0.3, 0.45] + [
+    0.5 + sign * half_gap
+    for half_gap in (5.1e-4, 4.9e-4, 6e-13, 4e-13)
+    for sign in (-1, 1)
+] + [0.55, 0.7]
+ORACLE_SPLITS = [(Variant.ORIGINAL, 35), (Variant.CORRECTED, 35),
+                 (Variant.BUDGETED, 1), (Variant.BUDGETED, 35)]
+
+
+def oracle_depths(q):
+    return [0, 1, 10, 70] + ([1000] if q >= 0.45 else [])
+
+
+class TestFloatErrorBound:
+    """attack_success within 512 (z + 1) units of 2**-53, relative, of a
+    60-digit evaluation.  The largest seen in wider random sweeps, about 205
+    units at z = 0, lie just past |p - q| = 1e-3, where _ruin's powers still
+    cancel; past z = 0 the worst seen is under 10 (z + 1)."""
+
+    def test_grid_reaches_every_branch(self):
+        rates = [poisson_rate(z, MiningPowerSplit(q)) for q in ORACLE_QS
+                 for z in oracle_depths(q)]
+        assert min(rates) == 0.0 and max(rates) > model_module._PMF_LOGSPACE_RATE
+        gaps = {abs((1.0 - q) - q) for q in ORACLE_QS}
+        assert {gap <= model_module.EQUAL_POWER_TOL for gap in gaps} == {True, False}
+        assert {gap < 1e-3 for gap in gaps} == {True, False}
+        values = [success(q, z, Variant.CORRECTED) for q in ORACLE_QS
+                  for z in oracle_depths(q)]
+        assert min(values) < 0.5 <= max(values)
+
+    @pytest.mark.parametrize("q", ORACLE_QS)
+    def test_relative_error_within_the_bound(self, q):
+        for z in oracle_depths(q):
+            for variant, surplus in ORACLE_SPLITS:
+                exact = attack_success_mp(q, z, variant.value, surplus)
+                got = success(q, z, variant, surplus)
+                assert abs(got - exact) <= 512 * (z + 1) * 2.0**-53 * exact, (
+                    z, variant, surplus
+                )
 
 
 class TestAttackSuccess:
@@ -393,9 +526,13 @@ class TestMinConfirmations:
         # P = 1/2 exactly at (q=0.5, surplus 1, z=0), so a target of 1/2 scans.
         assert success(0.5, 0, Variant.BUDGETED, 1) == 0.5
         assert min_confirmations(MiningPowerSplit(0.5), 0.5, Variant.BUDGETED, 1) == 0
-        # The 1 - 1/e stop comes only after z = 0 is evaluated.
+        # The 1 - 1/e stop comes only after z = 0 is evaluated.  There P is
+        # the one game ruin(1, 2) = q, just above 1/2, so a target of q is
+        # answered at z = 0 and a target of 1/2 at no depth.
         power = MiningPowerSplit(0.5000000001)
-        assert min_confirmations(power, 0.5, Variant.BUDGETED, 1) == 0
+        assert success(power.q, 0, Variant.BUDGETED, 1) == power.q
+        assert min_confirmations(power, power.q, Variant.BUDGETED, 1) == 0
+        assert min_confirmations(power, 0.5, Variant.BUDGETED, 1) is None
 
     def test_near_fair_floor_holds_at_every_searched_depth(self):
         # With q >= p, P(z) >= 1/2 + P(Poisson(z) > z)/2 at z >= 1 (k > z wins
