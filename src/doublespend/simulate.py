@@ -39,10 +39,10 @@ fewer than the usable CPUs; it reads pickled tasks from a pipe, holds its
 own tiles in memory and sends back integer counts only.  The flip cap
 travels with each task.  Only the process that forked the pool uses it (a
 forked child drops it), and one thread at a time: a call that finds the
-pool busy counts every range itself.  At exit the workers get EOF on their
-task pipes and are reaped; if their owner is killed, they get EOF all the
-same and leave.  `taskset -c 0` pins a run to one CPU, and so to one
-process; where os.sched_getaffinity is missing, every call runs in one.
+pool busy counts every range itself.  Exit kills and reaps the workers; an
+owner killed without exit handlers ends them too, by EOF on their task
+pipes.  `taskset -c 0` pins a run to one CPU, and so to one process; where
+os.sched_getaffinity is missing, every call runs in one.
 numpy's import already starts a second thread, so Python 3.12+ warns on
 os.fork, once per worker; the workers run only numpy ufuncs and pickle, and
 leave with os._exit.
@@ -483,33 +483,21 @@ def _sharded(args: tuple, bounds: list[int]) -> list:
     return parts
 
 
-def _drop_pool() -> list[int]:
-    """Close every pipe of the pool and empty it; returns the workers' pids."""
-    for _, tasks, replies in _pool:
-        os.close(tasks)
-        replies.close()
-    pids = [pid for pid, _, _ in _pool]
-    _pool.clear()
-    return pids
-
-
 @atexit.register
 def _close_pool() -> None:
-    """End the kept workers: close every task pipe, then reap each worker.
-
-    A worker exits at EOF on its task pipe, so once all are closed no wait
-    depends on the order of the others.
-    """
+    """Kill and reap the workers at exit; a killed owner ends them by EOF on its task pipes."""
     with _pool_lock:
-        for pid in _drop_pool():
-            os.waitpid(pid, 0)
+        _end(list(_pool))
 
 
 def _forget_pool() -> None:
-    """In a forked child: the pool is its parent's, so drop it."""
+    """In a forked child: close the parent's pool's pipes and empty it, reaping nothing."""
     global _pool_lock
     _pool_lock = threading.Lock()  # another thread may have held the parent's
-    _drop_pool()
+    for _, tasks, replies in _pool:
+        os.close(tasks)
+        replies.close()
+    _pool.clear()
 
 
 if hasattr(os, "register_at_fork"):

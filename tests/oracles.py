@@ -8,11 +8,12 @@ is meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from scipy import stats
+from scipy import special, stats
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -145,6 +146,26 @@ def attack_success_naive(q: float, z: int, variant: str, surplus: int = 35) -> f
             catch = (q / p) ** deficit
         total += stats.poisson.pmf(k, lam) * (1.0 - catch)
     return 1.0 - total
+
+
+def attack_success_closed_form(q: float, z: int, variant: str) -> float:
+    """The corrected or original attack_success as two Poisson CDFs, for q < 1/2.
+
+    With X ~ Poisson(lam), lam = zq/p, Y ~ Poisson(z), s = q/p and K = z + 1
+    (corrected) or z (original), lam/s = z turns the catch-up sum
+    sum_{k<K} pmf(k; lam) s**(K-k) into s**K e**(z-lam) P(Y <= K-1), so
+
+        P = P(X >= K) + s**K e**(z-lam) P(Y <= K-1),
+
+    two regularized incomplete gamma functions and no per-k list.  At K = 0
+    scipy returns nan, and P is exactly 1.
+    """
+    p = 1.0 - q
+    lam, k_top = z * q / p, z + 1 if variant == "corrected" else z
+    if k_top == 0:
+        return 1.0
+    power = math.exp(k_top * math.log(q / p) + z - lam)
+    return float(special.pdtrc(k_top - 1, lam) + power * special.pdtr(k_top - 1, z))
 
 
 def negative_binomial_pmf(k: int, z: int, p: float) -> float:

@@ -21,7 +21,7 @@ from doublespend import (
     poisson_rate,
     ruin_win_probability,
 )
-from oracles import attack_success_mp, attack_success_naive
+from oracles import attack_success_closed_form, attack_success_mp, attack_success_naive
 
 # Success probabilities published in the Bitcoin whitepaper (section 11) for
 # the catch-up formulation; an external anchor for the original variant.
@@ -297,6 +297,40 @@ class TestFloatErrorBound:
                 got = success(q, z, variant, surplus)
                 assert abs(got - exact) <= 512 * (z + 1) * 2.0**-53 * exact, (
                     z, variant, surplus
+                )
+
+
+# Rates past _PMF_LOGSPACE_RATE, catch-up powers either side of
+# _POW_DIRECT_MAX, and cells whose value underflows.
+CLOSED_FORM_QS = [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45,
+                  0.48, 0.49, 0.499]
+CLOSED_FORM_DEPTHS = [0, 1, 5, 24, 64, 65, 100, 1000, 3000]
+CLOSED_FORM_VARIANTS = [Variant.CORRECTED, Variant.ORIGINAL]
+
+
+class TestClosedForm:
+    """The corrected and original attack_success within TestFloatErrorBound's
+    512 (z + 1) units of 2**-53, relative, of two Poisson CDFs, which share
+    none of its summation.  The worst cell seen, (1e-4, 65, original), used
+    about 2% of that."""
+
+    def test_grid_reaches_every_branch(self):
+        cells = list(itertools.product(CLOSED_FORM_QS, CLOSED_FORM_DEPTHS))
+        rates = [poisson_rate(z, MiningPowerSplit(q)) for q, z in cells]
+        assert max(rates) > model_module._PMF_LOGSPACE_RATE
+        assert min(CLOSED_FORM_DEPTHS) <= model_module._POW_DIRECT_MAX < max(CLOSED_FORM_DEPTHS)
+        values = [success(q, z, variant) for q, z in cells for variant in CLOSED_FORM_VARIANTS]
+        assert min(values) == 0.0 and max(values) >= 0.5
+
+    @pytest.mark.parametrize("q", CLOSED_FORM_QS)
+    def test_relative_error_within_the_bound(self, q):
+        for z in CLOSED_FORM_DEPTHS:
+            for variant in CLOSED_FORM_VARIANTS:
+                exact = attack_success_closed_form(q, z, variant.value)
+                got = success(q, z, variant)
+                assert (got == 0.0) == (exact == 0.0), (z, variant)  # both underflow
+                assert abs(got - exact) <= 512 * (z + 1) * 2.0**-53 * exact + 1e-300, (
+                    z, variant
                 )
 
 

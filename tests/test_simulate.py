@@ -947,6 +947,41 @@ def test_workers_end_with_their_owner():
     assert len(pids) == 2 and not any(map(running, pids))
 
 
+# POOL_SCRIPT's tail: after the call, the owner forks a child that sleeps, then
+# prints the child's pid and sleeps itself.
+FORKED_CHILD = """\
+child = os.fork()
+if not child:
+    time.sleep(60)
+    os._exit(0)
+print(child, flush=True)
+time.sleep(60)
+"""
+
+
+def test_workers_end_with_their_owner_while_its_child_lives():
+    """A child forked by the owner holds none of the pool's pipes open."""
+    pids = []
+    try:
+        with subprocess.Popen(
+            [sys.executable, "-c", POOL_SCRIPT.format(cpus=3, then=FORKED_CHILD)],
+            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        ) as owner:
+            try:
+                pids += [int(pid) for pid in owner.stdout.readline().split()]
+                pids.append(int(owner.stdout.readline()))  # the owner's child
+            finally:
+                owner.kill()
+        *workers, child = pids
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(workers) == 2 and not any(map(running, workers)) and running(child)
+    finally:
+        for pid in filter(running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 # Runs one kernel with _keep patched to drop one live walk from every
 # compaction, so the kept arrays hold one walk fewer than the live count.
 SLIPPED_COUNT = """\
