@@ -4,11 +4,11 @@ Subcommands: prob, min-z, simulate, validate.  Output goes to stdout or
 --out PATH as CSV (default) or JSON; CSV uses a header row, '.' decimals and
 LF line endings.  All probability arithmetic and every rule on q, z, the
 surplus and the trial count live in the library, whose records raise
-ValueError, which main prints as "error: <message>" with exit status 2.  This
-module only parses flags, checks seeds, runs the model's target check over
-every min-z target before the first search, caps work (MAX_Z, MAX_SURPLUS,
-MAX_TRIALS, MAX_Q_RANGE_VALUES), dispatches, and formats.  Each handler
-returns a head dict and a list of Blocks, which _render writes as CSV or JSON.
+ValueError, which main prints as "error: <message>" with exit status 2; the
+model checks every min-z target before its first search.  This module only
+parses flags, checks seeds, caps work (MAX_Z, MAX_SURPLUS, MAX_TRIALS,
+MAX_Q_RANGE_VALUES), dispatches, and formats.  Each handler returns a head
+dict and a list of Blocks, which _render writes as CSV or JSON.
 min-z answers all its targets for one q from one model scan.  simulate and
 validate import the simulator inside their handlers, so prob and min-z run
 without loading numpy.
@@ -30,8 +30,8 @@ import sys
 from typing import NamedTuple
 
 from .model import (
-    DEFAULT_BUDGET_SURPLUS, AttackQuery, MiningPowerSplit, Variant, _check_target,
-    _min_depths, attack_success, attack_summands,
+    DEFAULT_BUDGET_SURPLUS, AttackQuery, MiningPowerSplit, Variant, _min_depths,
+    attack_success, attack_summands,
 )
 
 ENV_SEED = "DOUBLESPEND_SEED"
@@ -173,8 +173,6 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
     targets = (
         DEFAULT_TARGETS if args.target is None else _parse_list(args.target, "--target")
     )
-    for target in targets:
-        _check_target(target)
     powers = [MiningPowerSplit(q) for q in q_values]
     variant = Variant(args.variant)
     head = {"variant": variant.value, "budget_surplus": args.surplus}

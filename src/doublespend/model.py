@@ -47,7 +47,7 @@ __all__ = [
 GUARD_BAND = 1e-9
 # |p - q| at or below this routes to the p == q formulas (avoids 0/0).
 EQUAL_POWER_TOL = 1e-12
-# Exponent policy: n above this, or |n * log(ratio)| above 700, uses exp/log.
+# Exponent policy: _pow_ratio takes base**n up to this n, exp(n log(base)) past it.
 _POW_DIRECT_MAX = 64
 # e**-rate underflows near 745; switch the pmf to log space well before that.
 _PMF_LOGSPACE_RATE = 700.0
@@ -262,13 +262,13 @@ def poisson_pmf(k: int, rate: float) -> float:
 
 
 def _poisson_terms(rate: float, k_top: int) -> list[float]:
-    """pmf(0..k_top; rate) in one pass; rate 0 and log space are poisson_pmf's.
+    """pmf(0..k_top; rate) in one pass; log space is poisson_pmf's.
 
     The recurrence rounds term * rate / k where poisson_pmf rounds
     term * (rate / k), so most terms differ from poisson_pmf in the last
     bits.  The attack sum's terms, and so its golden output, use this one.
     """
-    if rate == 0.0 or rate > _PMF_LOGSPACE_RATE:
+    if rate > _PMF_LOGSPACE_RATE:
         return [poisson_pmf(k, rate) for k in range(k_top + 1)]
     terms = [math.exp(-rate)]
     for k in range(1, k_top + 1):
@@ -382,7 +382,7 @@ def _positive_form(pmf: list[float], catch: list[float], rate: float) -> float:
 
 
 def _check_target(target: float) -> None:
-    """The rule on a min_confirmations target, which the CLI runs over every target first."""
+    """The rule on a min_confirmations target; _min_depths runs it over every target first."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
 

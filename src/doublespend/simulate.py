@@ -22,7 +22,7 @@ empirical_k_distribution one wait and empirical_catch_up a list of cells;
 validate feeds a grid cell's races, wait and cells to one call.  The kernel
 takes walks in tiles of at most _BATCH_WALKS, so its per-walk arrays stay
 cache-resident and the working set does not grow with the trial count.
-Walks are capped after DEFAULT_MAX_BLOCKS flips, read at call time.  A
+Walks are capped after DEFAULT_MAX_BLOCKS flips, read once per call.  A
 finished or capped walk is recorded, then parked: it stays in the arrays,
 drawn for but never matched again, until a quarter of them are parked or a
 tile joins, and only then do they compact.  Once few walks are left, the
@@ -35,14 +35,14 @@ contiguous ranges, one per CPU in os.sched_getaffinity(0) at most, and the
 engine sums their counts.  The calling process counts the first range and a
 kept worker each other one.  A worker is an os.fork child, forked the first
 time a call needs it and kept until exit, so the pool holds at most one
-fewer than the usable CPUs; it reads pickled tasks from a pipe, holds its
-own tiles in memory and sends back integer counts only.  The flip cap
-travels with each task.  Only the process that forked the pool uses it (a
-forked child drops it), and one thread at a time: a call that finds the
-pool busy counts every range itself.  Exit kills and reaps the workers; an
-owner killed without exit handlers ends them too, by EOF on their task
-pipes.  `taskset -c 0` pins a run to one CPU, and so to one process; where
-os.sched_getaffinity is missing, every call runs in one.
+fewer than the usable CPUs; it reads each task, _counts's arguments with
+the call's flip cap among them, pickled from a pipe, holds its own tiles in
+memory and sends back integer counts only.  Only the process that forked
+the pool uses it (a forked child drops it), and one thread at a time: a
+call that finds the pool busy counts every range itself.  Exit kills and
+reaps the workers; an owner killed without exit handlers ends them too, by
+EOF on their task pipes.  `taskset -c 0` pins a run to one CPU, and so to
+one process; where os.sched_getaffinity is missing, every call runs in one.
 numpy's import already starts a second thread, so Python 3.12+ warns on
 os.fork, once per worker; the workers run only numpy ufuncs and pickle, and
 leave with os._exit.
@@ -110,8 +110,8 @@ _pool_lock = threading.Lock()
 class TrialConfig:
     """Parameters of one simulated budgeted race; AttackQuery runs its checks.
 
-    run_trials caps each trial at DEFAULT_MAX_BLOCKS coin flips, read at call
-    time, which a race with any sane budget absorbs long before.  Capped
+    run_trials caps each trial at DEFAULT_MAX_BLOCKS coin flips, read once per
+    call, which a race with any sane budget absorbs long before.  Capped
     trials are counted and reported, never dropped.
     """
 
@@ -205,12 +205,11 @@ def _join(rest, fresh):
     return tuple(map(np.concatenate, zip(rest, fresh)))
 
 
-def _chase(keys, used, deficit, budget, label):
+def _chase(keys, used, deficit, budget, label, cap):
     """Chase walks, one per stream of keys, from its draw used on: d starts at
     deficit, wins at 0, loses at deficit + budget, and the stream's whole run
-    is capped at DEFAULT_MAX_BLOCKS flips."""
-    cap = DEFAULT_MAX_BLOCKS - used
-    return advance_keys(keys, used), deficit, deficit + budget, cap, label
+    is capped at cap flips, the call's flip cap."""
+    return advance_keys(keys, used), deficit, deficit + budget, cap - used, label
 
 
 def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
@@ -303,29 +302,29 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
             live -= n_ended
 
 
-def _counts(config: TrialConfig, streams, race_count: int, cells, start: int, stop: int):
+def _counts(config: TrialConfig, streams, race_count: int, cells, cap: int, start: int, stop: int):
     """Integer counts from trials start..stop - 1 of the streams and cells.
 
     streams are master seeds, the first race_count of them races and the rest
-    waits; cells are (deficit, budget, master_seed) with deficit >= 1.  A tile
-    of wait walks holds the same trial range of every stream, and is walked
-    as the chase pass reaches it; each chase walk is labelled with its race or
-    cell.  Returns (a bincount of the wait's k per stream, and an array of
-    wins and of capped trials per race and cell).
+    waits; cells are (deficit, budget, master_seed) with deficit >= 1; cap is
+    the flip cap.  A tile of wait walks holds the same trial range of every
+    stream, and is walked as the chase pass reaches it; each chase walk is
+    labelled with its race or cell.  Returns (a bincount of the wait's k per
+    stream, and an array of wins and of capped trials per race and cell).
     """
     # No run makes _FLIP_LIMIT flips, so larger values act alike; clamped, the
     # chase's barriers fit int64.
     z, surplus = (min(v, _FLIP_LIMIT) for v in (config.z, config.budget_surplus))
     threshold = np.uint64(bernoulli_threshold(config.power.q))
     k_counts = [np.zeros(0, dtype=np.int64) for _ in streams]
-    last_k = DEFAULT_MAX_BLOCKS - z  # a wait that reaches a larger k is capped
+    last_k = cap - z  # a wait that reaches a larger k is capped
 
     def race_tiles():
         for count, keys in _tiles(streams, start, stop):
             n = keys.size
             k = np.zeros(n, dtype=np.int64)
             # d counts down the z honest blocks due; no barrier above z is reachable.
-            due = (np.full(n, v) for v in (z, z + _FLIP_LIMIT, DEFAULT_MAX_BLOCKS))
+            due = (np.full(n, v) for v in (z, z + _FLIP_LIMIT, cap))
             wait = (keys, *due, np.arange(n))
             for _, pos, flips, d in _walk(threshold, [wait] if z else [], -1, 0):
                 k[pos] = flips - z + d  # z - d of the flips were honest blocks
@@ -336,7 +335,7 @@ def _counts(config: TrialConfig, streams, race_count: int, cells, start: int, st
             chase = k[: label.size] <= min(z, last_k)
             kc, keys = k[: label.size][chase], keys[: label.size][chase]
             # Past its wait's z + k draws, deficit z + 1 - k with budget z + surplus - k.
-            yield _chase(keys, z + kc, z + 1 - kc, z + surplus - kc, label[chase])
+            yield _chase(keys, z + kc, z + 1 - kc, z + surplus - kc, label[chase], cap)
 
     # (deficit, budget, label) rows, clamped as the races are: past _FLIP_LIMIT
     # no barrier is reachable.
@@ -346,7 +345,7 @@ def _counts(config: TrialConfig, streams, race_count: int, cells, start: int, st
         dtype=np.int64,
     ).reshape(-1, 3).T
     cell_tiles = (
-        _chase(keys, np.zeros(keys.size, np.int64), *np.repeat(per_cell, count, axis=1))
+        _chase(keys, np.zeros(keys.size, np.int64), *np.repeat(per_cell, count, axis=1), cap)
         for count, keys in _tiles([s for _, _, s in cells], start, stop)
     )
     ends = np.zeros((2, race_count + len(cells)), dtype=np.int64)  # wins, capped
@@ -390,15 +389,14 @@ def _serve(tasks: int, replies: int) -> NoReturn:
     """A worker's loop: for each task read from fd tasks, pickle (None, counts)
     or (traceback, exception) into fd replies.
 
-    A task is (DEFAULT_MAX_BLOCKS, _counts args, start, stop); the flip cap
-    travels with it because callers may change it at any time.  The worker
+    A task is _counts's argument tuple, the call's flip cap among them, and the
+    worker runs _counts(*task), the call its owner makes for its own range.  It
     first closes every descriptor it inherited but 0-2 and its two pipe ends,
     so it holds open nothing its owner closes, and ignores SIGINT, so an
     interrupt reaches the owner alone, which ends the call's workers itself.
     It leaves with os._exit, so none of the owner's clean-up runs twice:
     status 0 at EOF, 1 if a task cannot be read or a reply written.
     """
-    global DEFAULT_MAX_BLOCKS
     status = 1
     try:
         import signal  # a 1 ms import that only a new worker needs
@@ -408,9 +406,9 @@ def _serve(tasks: int, replies: int) -> NoReturn:
             os.closerange(low + 1, high)  # an empty range closes nothing
         with open(tasks, "rb") as reader, open(replies, "wb") as writer:
             while reader.peek(1):
-                DEFAULT_MAX_BLOCKS, args, start, stop = pickle.load(reader)
+                task = pickle.load(reader)
                 try:
-                    message = None, _counts(*args, start, stop)
+                    message = None, _counts(*task)
                 except BaseException as exc:
                     import traceback  # only a failing task needs it
 
@@ -461,7 +459,7 @@ def _sharded(args: tuple, bounds: list[int]) -> list:
         replies = [None] * len(workers)
         try:
             for (_, tasks, _), start, stop in zip(workers, bounds[1:-1], bounds[2:]):
-                task = memoryview(pickle.dumps((DEFAULT_MAX_BLOCKS, args, start, stop)))
+                task = memoryview(pickle.dumps((*args, start, stop)))
                 with contextlib.suppress(BrokenPipeError):  # a dead worker fails below
                     while task:  # a write may take part of a large task
                         task = task[os.write(tasks, task) :]
@@ -525,7 +523,7 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
     walks = trials * (len(streams) + len(live))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     shards = max(1, min(cpus, trials, walks // _SHARD_WALKS))
-    args = config, streams, len(races), live
+    args = config, streams, len(races), live, DEFAULT_MAX_BLOCKS
     parts = _sharded(args, [i * trials // shards for i in range(shards + 1)])
     k_counts = [_sum_counts(c) for c in zip(*(k for k, _ in parts))]
     wins, capped = sum(ends for _, ends in parts)

@@ -168,6 +168,48 @@ def attack_success_closed_form(q: float, z: int, variant: str) -> float:
     return float(special.pdtrc(k_top - 1, lam) + power * special.pdtr(k_top - 1, z))
 
 
+def attack_success_images(q: float, z: int, surplus: int = 35) -> tuple[float, float]:
+    """The budgeted attack_success as a series of images, and its truncation
+    bound, for q < 1/2.
+
+    With s = q/p, S = surplus - 1 and deficit d = K - k (K = z + 1), the
+    catch-up term is c_B(d) = s**d (1 - s**(d+S)) / (1 - s**(2d+S)); expanding
+    the denominator as a geometric series gives the images
+
+        c_B(d) = sum_m [s**((2m+1)d + mS) - s**((2m+2)d + (m+1)S)],
+
+    each term nonnegative.  Over X ~ Poisson(lam), lam = zq/p, a term
+    s**(ad + b) sums to s**(aK+b) e**(mu-lam) P(Poisson(mu) <= K-1) with
+    mu = z s**(1-a), a regularized upper incomplete gamma function, so
+
+        P = P(X >= K) + sum over images of those terms.
+
+    After M images each c_B(d) misses at most s**(M(2d+S)) / (1 - s**(2d+S)),
+    so P misses at most s**(M(2+S)) / (1 - s**(2+S)) absolute.  M is the
+    first count at which that bound is at most 2**-60 of the partial sum,
+    which only grows.  Returns (P, that bound) as floats.  Apart, e**mu and
+    the gamma function each lose about log10(mu) digits, so each image term
+    is evaluated with that many digits more than 50.
+    """
+    if not 0.0 < q < 0.5:
+        raise ValueError("the images converge for q in (0, 1/2) only")
+    with mp.workdps(50):
+        q_, p_ = mp.mpf(q), mp.mpf(1.0 - q)
+        s, lam, k_top, shift = q_ / p_, z * q_ / p_, z + 1, surplus - 1
+
+        def term(a, b):
+            mu = z * s ** (1 - a)
+            with mp.workdps(50 + int(mp.log10(mu + 1))):
+                upper = mp.gammainc(k_top, mu, regularized=True)
+                return +(s ** (a * k_top + b) * mp.exp(mu - lam) * upper)
+
+        total, ratio, m = mp.gammainc(k_top, 0, lam, regularized=True), s ** (2 + shift), 0
+        while ratio**m / (1 - ratio) > mp.mpf(2) ** -60 * total:  # the bound after m images
+            total += term(2 * m + 1, m * shift) - term(2 * m + 2, (m + 1) * shift)
+            m += 1
+        return float(total), float(ratio**m / (1 - ratio))
+
+
 def negative_binomial_pmf(k: int, z: int, p: float) -> float:
     """scipy's law of attacker blocks before the z-th honest block."""
     return float(stats.nbinom.pmf(k, z, p))

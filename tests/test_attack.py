@@ -21,7 +21,9 @@ from doublespend import (
     poisson_rate,
     ruin_win_probability,
 )
-from oracles import attack_success_closed_form, attack_success_mp, attack_success_naive
+from oracles import (
+    attack_success_closed_form, attack_success_images, attack_success_mp, attack_success_naive,
+)
 
 # Success probabilities published in the Bitcoin whitepaper (section 11) for
 # the catch-up formulation; an external anchor for the original variant.
@@ -331,6 +333,43 @@ class TestClosedForm:
                 assert (got == 0.0) == (exact == 0.0), (z, variant)  # both underflow
                 assert abs(got - exact) <= 512 * (z + 1) * 2.0**-53 * exact + 1e-300, (
                     z, variant
+                )
+
+
+# Rates past _PMF_LOGSPACE_RATE at z = 1000, ruin powers either side of
+# _POW_DIRECT_MAX, and up to about 570 images near q = 1/2 at surplus 1.
+IMAGE_QS = [0.1, 0.3, 0.4, 0.45, 0.49]
+IMAGE_SURPLUSES = [1, 2, 35]
+
+
+def image_depths(q):
+    return [0, 1, 5, 24, 64, 65, 100] + ([1000] if q >= 0.45 else [])
+
+
+class TestImageSeries:
+    """The budgeted attack_success within TestFloatErrorBound's 512 (z + 1)
+    units of 2**-53, relative, plus the stated truncation bound, of its image
+    series of incomplete gamma functions, which shares none of its summation.
+    The worst cell seen, (0.49, 1000, surplus 1), used about 1.5% of that."""
+
+    def test_grid_reaches_every_branch(self):
+        cells = [(q, z) for q in IMAGE_QS for z in image_depths(q)]
+        rates = [poisson_rate(z, MiningPowerSplit(q)) for q, z in cells]
+        assert min(rates) == 0.0 and max(rates) > model_module._PMF_LOGSPACE_RATE
+        n = [2 * (z + 1) + surplus - 1 for _, z in cells for surplus in IMAGE_SURPLUSES]
+        assert min(n) <= model_module._POW_DIRECT_MAX < max(n)  # the ruin game's largest target
+        values = [success(q, z, Variant.BUDGETED, surplus) for q, z in cells
+                  for surplus in IMAGE_SURPLUSES]
+        assert min(values) < 1e-50 and max(values) >= 0.5
+
+    @pytest.mark.parametrize("q", IMAGE_QS)
+    def test_relative_error_within_the_bounds(self, q):
+        for z in image_depths(q):
+            for surplus in IMAGE_SURPLUSES:
+                exact, truncation = attack_success_images(q, z, surplus)
+                got = success(q, z, Variant.BUDGETED, surplus)
+                assert abs(got - exact) <= 512 * (z + 1) * 2.0**-53 * exact + truncation, (
+                    z, surplus
                 )
 
 

@@ -757,6 +757,23 @@ class TestShards:
         assert capped == one_process(lambda: run_trials(config, 1_000, 5))
         assert capped.capped_count and len(forks) == 1
 
+    def test_a_call_reads_the_flip_cap_once(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        set_width(monkeypatch, 128)
+        config = TrialConfig(MiningPowerSplit(0.45), 3, 4)
+        expected = run_trials(config, 1_000, 5)
+        tiles = simulate_module._tiles
+
+        def tiles_then_cap(*args):
+            for i, tile in enumerate(tiles(*args)):
+                if i:  # a cap changed mid-call must not reach the call's later tiles
+                    set_flip_cap(monkeypatch, 10)
+                yield tile
+
+        monkeypatch.setattr(simulate_module, "_tiles", tiles_then_cap)
+        assert run_trials(config, 1_000, 5) == expected
+        assert simulate_module.DEFAULT_MAX_BLOCKS == 10  # the cap did change mid-call
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_workers_exception_reaches_the_caller(self, monkeypatch, cpus):
         monkeypatch.setattr(simulate_module, "_counts", broken_counts(1_000 // cpus))
