@@ -13,10 +13,8 @@ min-z answers all its targets for one q from one model scan.  simulate and
 validate import the simulator inside their handlers, so prob and min-z run
 without loading numpy.
 
-The default seed for simulate/validate is 20090103, overridable with the
-DOUBLESPEND_SEED environment variable, read on each simulate or validate call
-(prob and min-z ignore it).  Seeds lie in [0, 2**64).  Identical flags plus an
-identical seed always produce byte-identical output.
+simulate and validate take --seed in [0, 2**64), else 20090103.  The output
+is a function of argv alone: identical argv gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from typing import NamedTuple
 
@@ -34,7 +31,6 @@ from .model import (
     attack_success, attack_summands,
 )
 
-ENV_SEED = "DOUBLESPEND_SEED"
 DEFAULT_SEED = 20090103
 DEFAULT_TARGETS = (0.001, 0.01, 0.1, 0.5)
 DEFAULT_TRIALS = 100_000
@@ -129,20 +125,12 @@ def _at_most(value: int, name: str, high: int) -> int:
 
 
 def _seed(args) -> int:
-    """--seed, else DOUBLESPEND_SEED as set at this call, else DEFAULT_SEED."""
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        raw = os.environ.get(ENV_SEED)
-        if raw is None:
-            return DEFAULT_SEED
-        try:
-            seed, source = int(raw), ENV_SEED
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{source} must be in [0, 2**64), got {seed}")
-    return seed
+    """--seed, else DEFAULT_SEED."""
+    if args.seed is None:
+        return DEFAULT_SEED
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
+    return args.seed
 
 
 def _cmd_prob(args) -> tuple[dict, list[Block]]:

@@ -352,7 +352,6 @@ def attack_success(query: AttackQuery) -> float:
     """
     pmf, catch = _terms(query)
     rate = poisson_rate(query.z, query.power)
-    positive = None
     if rate <= _PMF_LOGSPACE_RATE:
         # missed + positive is 1 to within (2 rate + n + 6) 2**-53 < 5e-13,
         # n the tail's terms (at most rate + 60 sqrt(rate + 1) + 200): two
@@ -370,21 +369,13 @@ def attack_success(query: AttackQuery) -> float:
     missed = math.fsum(sorted([t * (1.0 - c) for t, c in zip(pmf, catch)], reverse=True))
     if missed < 0.5:
         return _as_probability(1.0 - missed)
-    if positive is None:
-        positive = _positive_form(pmf, catch, rate)
-    return _as_probability(positive)
+    return _as_probability(_positive_form(pmf, catch, rate))
 
 
 def _positive_form(pmf: list[float], catch: list[float], rate: float) -> float:
     """attack_success's all-positive form: the success terms plus P(X > K)."""
     tail = _poisson_upper_tail(rate, len(pmf), pmf[-1] * rate / len(pmf))
     return math.fsum(sorted([t * c for t, c in zip(pmf, catch)], reverse=True)) + tail
-
-
-def _check_target(target: float) -> None:
-    """The rule on a min_confirmations target; _min_depths runs it over every target first."""
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {target!r}")
 
 
 def min_confirmations(
@@ -421,7 +412,8 @@ def _min_depths(
     below the 1/2 floor.  Every target is checked before any answer.
     """
     for target in targets:
-        _check_target(target)
+        if not 0.0 < target < 1.0:
+            raise ValueError(f"target must be in (0, 1), got {target!r}")
     AttackQuery(power, 0, variant, budget_surplus)  # its checks come before any answer
     depths: list[int | None] = [None] * len(targets)
     majority = power.p <= power.q
