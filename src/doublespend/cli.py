@@ -3,15 +3,14 @@
 Subcommands: prob, min-z, simulate, validate.  Output goes to stdout or
 --out PATH as CSV (default) or JSON; CSV uses a header row, '.' decimals and
 LF line endings.  All probability arithmetic and every rule on q, z, the
-surplus and the trial count live in the library, whose records raise
+surplus, the trial count and the seed live in the library, whose checks raise
 ValueError, which main prints as "error: <message>" with exit status 2; the
 model checks every min-z target before its first search.  This module only
-parses flags, checks seeds, caps work (MAX_Z, MAX_SURPLUS, MAX_TRIALS,
-MAX_Q_RANGE_VALUES), dispatches, and formats.  Each handler returns a head
-dict and a list of Blocks, which _render writes as CSV or JSON.
-min-z answers all its targets for one q from one model scan.  simulate and
-validate import the simulator inside their handlers, so prob and min-z run
-without loading numpy.
+parses flags, caps work (MAX_Z, MAX_SURPLUS, MAX_TRIALS, MAX_Q_RANGE_VALUES),
+dispatches, and formats.  Each handler returns a head dict and a list of
+Blocks, which _render writes as CSV or JSON.  min-z answers all its targets
+for one q from one model scan.  simulate and validate import the simulator
+inside their handlers, so prob and min-z run without loading numpy.
 
 simulate and validate take --seed in [0, 2**64), else 20090103.  The output
 is a function of argv alone: identical argv gives byte-identical output.
@@ -124,15 +123,6 @@ def _at_most(value: int, name: str, high: int) -> int:
     return value
 
 
-def _seed(args) -> int:
-    """--seed, else DEFAULT_SEED."""
-    if args.seed is None:
-        return DEFAULT_SEED
-    if not 0 <= args.seed < 2**64:
-        raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
-    return args.seed
-
-
 def _cmd_prob(args) -> tuple[dict, list[Block]]:
     power, z = MiningPowerSplit(args.q), _at_most(args.z, "z", MAX_Z)
     query = AttackQuery(power, z, Variant(args.variant), args.surplus)
@@ -176,12 +166,13 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
 
 
 def _cmd_simulate(args) -> tuple[dict, list[Block]]:
+    from .rng import _check_seed
     from .simulate import TrialConfig, _check_trials, run_trials
 
     config = TrialConfig(MiningPowerSplit(args.q), args.z, args.surplus)
     _check_trials(_at_most(args.trials, "--trials", MAX_TRIALS))
-    seed = _seed(args)
-    result = run_trials(config, args.trials, seed)
+    _check_seed(args.seed)
+    result = run_trials(config, args.trials, args.seed)
     head = {
         "q": args.q,
         "z": args.z,
@@ -192,7 +183,7 @@ def _cmd_simulate(args) -> tuple[dict, list[Block]]:
         "std_err": result.std_err,
         "mean_k": result.mean_k,
         "capped": result.capped_count,
-        "seed": seed,
+        "seed": args.seed,
     }
     blocks = [Block(None, tuple(head), (), [head])]
     if args.histogram:
@@ -217,7 +208,6 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     z_values = _parse_list(args.z_values, "--z-values", int)
     _at_most(args.trials, "--trials", MAX_TRIALS)
     _at_most(args.surplus, "--surplus", MAX_SURPLUS)
-    seed = _seed(args)
     variant = Variant(args.variant)
     grid = SweepGrid(
         q_values=tuple(q_values),
@@ -225,14 +215,14 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
         variant=variant,
         budget_surplus=args.surplus,
         trials=args.trials,
-        master_seed=seed,
+        master_seed=args.seed,
     )
     _at_most(grid.z_values[-1], "z", MAX_Z)
     head = {
         "variant": variant.value,
         "budget_surplus": grid.budget_surplus,
         "trials": grid.trials,
-        "seed": seed,
+        "seed": args.seed,
     }
     csv = _CELL + ("variant", "budget_surplus", "trials", "seed") + _ERRORS
     json_columns = _CELL + _ERRORS + ("trials",)
@@ -268,7 +258,7 @@ _FLAGS = {
     ),
     "--surplus": dict(type=int, default=DEFAULT_BUDGET_SURPLUS),
     "--trials": dict(type=int, default=DEFAULT_TRIALS),
-    "--seed": dict(type=int),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
     "--summands": dict(action="store_true", help="also print the per-k terms"),
     "--histogram": dict(action="store_true", help="also print the k histogram"),
     "--attribution": dict(

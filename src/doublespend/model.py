@@ -249,10 +249,8 @@ def poisson_pmf(k: int, rate: float) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
-    if rate == 0.0:
-        return 1.0 if k == 0 else 0.0
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
     if rate <= _PMF_LOGSPACE_RATE:
         term = math.exp(-rate)
         for j in range(1, k + 1):

@@ -40,13 +40,20 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {seed!r}")
+
+
 def derive_seed(master_seed: int, *indices: int) -> int:
     """Deterministic 64-bit subseed for (master_seed, indices).
 
     Chained SplitMix64 steps: collision-free across indices at each level for
     a fixed parent seed.  Used both for per-trial stream keys and for giving
-    every cell of a parameter sweep its own independent seed.
+    every cell of a parameter sweep its own independent seed.  A master_seed
+    outside [0, 2**64) raises ValueError; none is reduced modulo 2**64.
     """
+    _check_seed(master_seed)
     s = mix64(master_seed)
     for ix in indices:
         s = mix64((s + (ix + 1) * _GOLDEN) & _MASK64)

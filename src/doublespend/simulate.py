@@ -72,7 +72,7 @@ from typing import NoReturn
 import numpy as np
 
 from .model import AttackQuery, MiningPowerSplit, DEFAULT_BUDGET_SURPLUS, _check_catch_up
-from .rng import advance_keys, bernoulli_threshold, mix64_array, trial_keys
+from .rng import _check_seed, advance_keys, bernoulli_threshold, mix64_array, trial_keys
 
 __all__ = [
     "SimulationResult",
@@ -520,6 +520,8 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
     for deficit, budget, _ in cells:
         _check_catch_up(deficit, budget)
     streams, live = [*races, *waits], [cell for cell in cells if cell[0]]
+    for seed in streams + [cell[2] for cell in cells]:
+        _check_seed(seed)
     walks = trials * (len(streams) + len(live))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     shards = max(1, min(cpus, trials, walks // _SHARD_WALKS))

@@ -34,7 +34,7 @@ from .model import (
     DEFAULT_BUDGET_SURPLUS,
     _terms,
 )
-from .rng import derive_seed
+from .rng import _check_seed, derive_seed
 from .simulate import TrialConfig, _binomial_se, _check_trials, _simulate
 
 __all__ = [
@@ -50,8 +50,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes and settings of a validation sweep; every cell's TrialConfig and
-    the trial count pass their checks on construction, before any cell runs."""
+    """Axes and settings of a validation sweep; each cell's TrialConfig, the
+    trial count and the seed are checked on construction, before any run."""
 
     q_values: tuple[float, ...]
     z_values: tuple[int, ...]
@@ -67,6 +67,7 @@ class SweepGrid:
         for q in self.q_values:  # the owners' checks first: a nan q sorts anywhere
             TrialConfig(MiningPowerSplit(q), least_z, self.budget_surplus)
         _check_trials(self.trials)
+        _check_seed(self.master_seed)
         for name, values in ("q_values", self.q_values), ("z_values", self.z_values):
             if not values:
                 raise ValueError(f"{name} must be non-empty")

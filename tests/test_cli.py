@@ -238,7 +238,7 @@ class TestSimulate:
         )
         assert code == 2
         assert out == ""
-        assert "--seed must be in [0, 2**64)" in err
+        assert f"master_seed must be in [0, 2**64), got {seed}" in err
 
     def test_largest_seed_is_accepted(self, capsys):
         code, out, _ = run_cli(
@@ -592,7 +592,7 @@ CLI_SURFACE = {
         ["simulate", "--q", "0.3", "--z", "1"],
         {
             "command": "simulate", "q": 0.3, "z": 1, "surplus": 35, "trials": 100_000,
-            "seed": None, "histogram": False, "format": "csv", "out": None,
+            "seed": 20090103, "histogram": False, "format": "csv", "out": None,
             "handler": "_cmd_simulate",
         },
     ),
@@ -601,7 +601,7 @@ CLI_SURFACE = {
         {
             "command": "validate", "q_values": "0.1,0.2,0.3,0.4",
             "z_values": "1,3,6,12,24", "variant": "budgeted", "surplus": 35,
-            "trials": 100_000, "seed": None, "attribution": False, "format": "csv",
+            "trials": 100_000, "seed": 20090103, "attribution": False, "format": "csv",
             "out": None, "handler": "_cmd_validate",
         },
     ),
@@ -731,6 +731,9 @@ RULES = {
                 lambda s: "budget_surplus must be >= 1"),
     "trials": (st.integers(1, MAX_TRIALS), st.integers(max_value=0),
                lambda n: "trials must be >= 1"),
+    "seed": (st.integers(0, 2**64 - 1),
+             st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
+             lambda s: f"master_seed must be in [0, 2**64), got {s!r}"),
 }
 # Each subcommand's ruled flags: (flag, rule, whether it takes a list).
 RULED_FLAGS = {
@@ -738,9 +741,10 @@ RULED_FLAGS = {
     "min-z": (("--q", "q", True), ("--target", "target", True),
               ("--surplus", "surplus", False)),
     "simulate": (("--q", "q", False), ("--z", "z", False), ("--surplus", "surplus", False),
-                 ("--trials", "trials", False)),
+                 ("--trials", "trials", False), ("--seed", "seed", False)),
     "validate": (("--q-values", "q", True), ("--z-values", "z", True),
-                 ("--surplus", "surplus", False), ("--trials", "trials", False)),
+                 ("--surplus", "surplus", False), ("--trials", "trials", False),
+                 ("--seed", "seed", False)),
 }
 
 
@@ -755,7 +759,6 @@ def test_rule_breaking_argv_exit_2_before_any_work(capsys, monkeypatch, data):
         monkeypatch.setattr(module, "attack_success", refuse)
     for module in (simulate_module, validate_module):
         monkeypatch.setattr(module, "_simulate", refuse)
-    monkeypatch.delenv("DOUBLESPEND_SEED", raising=False)
     command = data.draw(st.sampled_from(sorted(RULED_FLAGS)))
     flags = RULED_FLAGS[command]
     broken = data.draw(st.sets(st.sampled_from([flag for flag, _, _ in flags]), min_size=1))
@@ -776,8 +779,6 @@ def test_rule_breaking_argv_exit_2_before_any_work(capsys, monkeypatch, data):
         argv.append(f"{flag}={','.join(map(repr, values))}")
     if command != "simulate":
         argv.append(f"--variant={data.draw(st.sampled_from([v.value for v in Variant]))}")
-    if command in ("simulate", "validate"):
-        argv.append("--seed=1")
     code, out, err = run_cli(*argv, capsys=capsys)
     assert (code, out) == (2, "")
     assert err in {f"error: {message}\n" for message in messages}

@@ -64,6 +64,11 @@ class TestPoissonPmf:
         with pytest.raises(ValueError):
             poisson_pmf(1, -0.5)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_a_rate_that_is_not_finite(self, rate):
+        with pytest.raises(ValueError, match=r"rate must be finite and >= 0"):
+            poisson_pmf(3, rate)
+
     @given(
         k=st.integers(min_value=0, max_value=400),
         rate=st.floats(min_value=0.0, max_value=750.0),

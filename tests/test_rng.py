@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import doublespend.simulate as simulate_module
+from doublespend import (
+    MiningPowerSplit,
+    SweepGrid,
+    TrialConfig,
+    component_attribution,
+    empirical_catch_up,
+    empirical_k_distribution,
+    run_trials,
+)
 from doublespend.rng import (
     advance_keys,
     bernoulli_threshold,
@@ -58,6 +68,29 @@ def test_derive_seed_varies_with_each_index():
     assert len(seen) == 400
     assert derive_seed(9, 1) != derive_seed(10, 1)
     assert derive_seed(9, 1, 2) != derive_seed(9, 2, 1)
+
+
+POWER = MiningPowerSplit(0.3)
+# Every public entry point that takes a master seed, called with seed s.
+SEED_ENTRIES = {
+    "derive_seed": lambda s: derive_seed(s, 1),
+    "run_trials": lambda s: run_trials(TrialConfig(POWER, 3), 10, s),
+    "empirical_k_distribution": lambda s: empirical_k_distribution(POWER, 3, 10, s),
+    "empirical_catch_up": lambda s: empirical_catch_up(POWER, [(1, 2, 7), (2, 3, s)], 10),
+    "component_attribution": lambda s: component_attribution(POWER, 3, 35, 10, s),
+    "SweepGrid": lambda s: SweepGrid((0.3,), (3,), trials=10, master_seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_every_seed_entry_rejects_a_seed_outside_64_bits(monkeypatch, entry, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad seed reached the simulator")
+
+    monkeypatch.setattr(simulate_module, "_sharded", refuse)
+    with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+        SEED_ENTRIES[entry](seed)
 
 
 def test_trial_stream_replays_the_same_draws():
