@@ -15,6 +15,8 @@ makes the per-draw success probability exactly the float value of q.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -25,7 +27,7 @@ _MIX_B = 0x94D049BB133111EB
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer; avalanches a 64-bit integer, bijectively."""
-    x &= _MASK64
+    x = operator.index(x) & _MASK64  # a Python int: numpy integers would overflow
     x ^= x >> 30
     x = (x * _MIX_A) & _MASK64
     x ^= x >> 27
@@ -40,9 +42,9 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int, name: str = "master_seed") -> None:
     if not 0 <= seed < 2**64:
-        raise ValueError(f"master_seed must be in [0, 2**64), got {seed!r}")
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed!r}")
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -51,12 +53,13 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     Chained SplitMix64 steps: collision-free across indices at each level for
     a fixed parent seed.  Used both for per-trial stream keys and for giving
     every cell of a parameter sweep its own independent seed.  A master_seed
-    outside [0, 2**64) raises ValueError; none is reduced modulo 2**64.
+    or index outside [0, 2**64) raises ValueError; none wraps modulo 2**64.
     """
     _check_seed(master_seed)
     s = mix64(master_seed)
-    for ix in indices:
-        s = mix64((s + (ix + 1) * _GOLDEN) & _MASK64)
+    for ix in map(operator.index, indices):
+        _check_seed(ix, "index")
+        s = mix64(s + (ix + 1) * _GOLDEN)
     return s
 
 

@@ -10,10 +10,12 @@ loss when it reaches its starting value plus the remaining loss budget
 z + budget_surplus - k.  No formula from the closed-form model decides any
 trial; everything is coin flips.
 
-One vectorized kernel, _walk, runs both phases: it moves an int64 d from
+One vectorized kernel, _walk, runs both phases: it moves an int32 d from
 above 0 until it reaches 0, its loss barrier or its flip cap.  A wait counts
 down the z honest blocks due from d = z, so its k is flips - z + d; a chase
-walks the deficit.  One engine, _simulate, runs races (the wait, then a chase
+walks the deficit.  No walk moves past its flip cap, so depths, deficits and
+budgets are clamped to the cap + 1, where larger values act alike, and the
+state fits int32.  One engine, _simulate, runs races (the wait, then a chase
 that continues trial t's stream at draw z + k), waits alone and catch-up
 cells (chases alone): over a range of trials, _counts walks each tile of
 every wait, and one chase pass over the races' chases and then the cells'
@@ -22,12 +24,13 @@ empirical_k_distribution one wait and empirical_catch_up a list of cells;
 validate feeds a grid cell's races, wait and cells to one call.  The kernel
 takes walks in tiles of at most _BATCH_WALKS, so its per-walk arrays stay
 cache-resident and the working set does not grow with the trial count.
-Walks are capped after DEFAULT_MAX_BLOCKS flips, read once per call.  A
-finished or capped walk is recorded, then parked: it stays in the arrays,
-drawn for but never matched again, until a quarter of them are parked or a
-tile joins, and only then do they compact.  Once few walks are left, the
-kernel draws a block of flips per walk in one call and finds each walk's end
-in their cumulative sums; later draws are wasted.
+Walks are capped after DEFAULT_MAX_BLOCKS flips, read once per call, which
+must lie in [0, _CAP_LIMIT).  A finished or capped walk is recorded, then
+parked: it stays in the arrays, drawn for but never matched again, until a
+quarter of them are parked or a tile joins, and only then do they compact.
+Once few walks are left, the kernel draws a block of flips per walk in one
+call and finds each walk's end in their cumulative sums; later draws are
+wasted.
 
 A call of at least two shards' worth of walks (_SHARD_WALKS each, counting
 every trial of every race, wait and catch-up cell) splits its trials into
@@ -84,17 +87,18 @@ __all__ = [
 
 DEFAULT_MAX_BLOCKS = 1_000_000
 
-# Walks per tile; outcomes are independent of this value.  At about 100 B
-# per walk (key, deficit, barrier, cap, label, their compacted copies and the
-# mix64 temporaries) a tile, plus the eighth of one the kernel carries over,
-# stays inside a 2 MiB L2.
+# Walks per tile; outcomes are independent of this value.  At about 70 B
+# per walk (a uint64 key, int32 deficit, barrier, cap and label, their
+# compacted copies and the mix64 temporaries) a tile, plus the eighth of one
+# the kernel carries over, stays inside a 2 MiB L2.
 _BATCH_WALKS = 1 << 14
-_FLIP_LIMIT = 2**60  # more coin flips than any run makes
-# A finished or capped walk's d is set to _PARKED and left in the arrays:
-# _FLIP_LIMIT steps cannot bring it back to 0, so no barrier matches it
+# A finished or capped walk's d is set to _PARKED and left in the arrays: a
+# cap's worth of steps cannot bring it back to 0, so no barrier matches it
 # again.  The arrays compact once _LIVE_FRACTION or less of them is live.
-_PARKED = -(2**62)
+_PARKED = -(2**30)
 _LIVE_FRACTION = 0.75
+# Caps stay below this, so barriers (up to 2 * (cap + 1)) and parked d fit int32.
+_CAP_LIMIT = 2**30 - 1
 # Walks a shard gets at least.  On a 2-vCPU Xeon a task sent to a kept
 # worker costs about 1.5 ms (a 64-trial race: 1.7 ms here, 3.2 ms sharded);
 # split in two, grid-cell calls of 2,000-4,000 walks saved 3-24%, within the
@@ -208,18 +212,20 @@ def _join(rest, fresh):
 def _chase(keys, used, deficit, budget, label, cap):
     """Chase walks, one per stream of keys, from its draw used on: d starts at
     deficit, wins at 0, loses at deficit + budget, and the stream's whole run
-    is capped at cap flips, the call's flip cap."""
-    return advance_keys(keys, used), deficit, deficit + budget, cap - used, label
+    is capped at cap flips, the call's flip cap; no walk spends a budget of
+    cap + 1, so larger ones are clamped to it."""
+    loss_at = deficit + np.minimum(budget, cap + 1)
+    return advance_keys(keys, used), deficit, loss_at, cap - used, label
 
 
 def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
     """Walk each d from above 0 until it reaches 0, its loss barrier or its flip cap.
 
     tiles yields walks tuples (keys, d, loss_at, cap, label), each field an
-    array with one entry per walk: stream keys, d (int64, updated in place),
-    loss barriers, flip caps and labels.  A key holds its stream's position:
-    a walk's next flip is the draw after it, the key advances with each flip,
-    and a join carries it as it is.  Each flip adds honest to d, or attacker
+    array with one entry per walk: uint64 stream keys, then int32 d (updated
+    in place), loss barriers, flip caps and labels.  A key holds its stream's
+    position: a walk's next flip is the draw after it, the key advances with
+    each flip, and a join carries it as it is.  Each flip adds honest to d, or attacker
     on an attacker block: (+1, -1) walks a chase's deficit, (-1, 0) counts
     down the honest blocks a wait still needs.  No flip moves d by
     more than 1, so no walk of a joined tile reaches 0 before min(d) flips or
@@ -243,10 +249,10 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
     move = np.add if attacker > honest else np.subtract
     tiles = iter(tiles)
     keys = np.empty(0, dtype=np.uint64)
-    d = loss_at = cap = label = np.empty(0, dtype=np.int64)
+    d = loss_at = cap = label = np.empty(0, dtype=np.int32)
     one_draw = advance_keys(np.uint64(0), 1)
     step = live = 0
-    cap_floor = end_floor = _FLIP_LIMIT
+    cap_floor = end_floor = _CAP_LIMIT
     more = True
     while live or more:
         joining = more and live <= _BATCH_WALKS // 8
@@ -262,8 +268,8 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
                 keys, d, loss_at, cap, label = fresh
                 fresh = None  # the walk arrays alone hold the tile, so compaction frees it
                 live, step = keys.size, 0
-                cap_floor = np.min(cap, initial=_FLIP_LIMIT)
-                end_floor = np.min(np.minimum(d, loss_at - d), initial=_FLIP_LIMIT)
+                cap_floor = np.min(cap, initial=_CAP_LIMIT)
+                end_floor = np.min(np.minimum(d, loss_at - d), initial=_CAP_LIMIT)
             continue
         if step >= cap_floor:
             running = d > 0
@@ -271,7 +277,7 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
             yield True, label[spent], step, d[spent]
             live -= int(np.count_nonzero(spent))
             d[spent] = _PARKED
-            cap_floor = np.min(cap, where=running & ~spent, initial=_FLIP_LIMIT)
+            cap_floor = np.min(cap, where=running & ~spent, initial=_CAP_LIMIT)
             continue
         if blocking:
             rows = min(_block_rows(live), cap_floor - step)
@@ -281,7 +287,7 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
             ends = (walk == 0) | (walk == loss_at)
             ends[-1] = True  # a walk not absorbed in the block stops at its end
             last = ends.argmax(axis=0)
-            d = walk[last, np.arange(live)]
+            d = walk[last, np.arange(live)].astype(np.int32)
             flips = step + 1 + last
             step += rows
         else:
@@ -312,9 +318,10 @@ def _counts(config: TrialConfig, streams, race_count: int, cells, cap: int, star
     labelled with its race or cell.  Returns (a bincount of the wait's k per
     stream, and an array of wins and of capped trials per race and cell).
     """
-    # No run makes _FLIP_LIMIT flips, so larger values act alike; clamped, the
-    # chase's barriers fit int64.
-    z, surplus = (min(v, _FLIP_LIMIT) for v in (config.z, config.budget_surplus))
+    # No walk makes far flips, so values past far act alike; clamped, every
+    # barrier fits int32.
+    far = cap + 1
+    z, surplus = (min(v, far) for v in (config.z, config.budget_surplus))
     threshold = np.uint64(bernoulli_threshold(config.power.q))
     k_counts = [np.zeros(0, dtype=np.int64) for _ in streams]
     last_k = cap - z  # a wait that reaches a larger k is capped
@@ -322,30 +329,29 @@ def _counts(config: TrialConfig, streams, race_count: int, cells, cap: int, star
     def race_tiles():
         for count, keys in _tiles(streams, start, stop):
             n = keys.size
-            k = np.zeros(n, dtype=np.int64)
+            k = np.zeros(n, dtype=np.int32)
             # d counts down the z honest blocks due; no barrier above z is reachable.
-            due = (np.full(n, v) for v in (z, z + _FLIP_LIMIT, cap))
-            wait = (keys, *due, np.arange(n))
+            due = (np.full(n, v, dtype=np.int32) for v in (z, z + far, cap))
+            wait = (keys, *due, np.arange(n, dtype=np.int32))
             for _, pos, flips, d in _walk(threshold, [wait] if z else [], -1, 0):
                 k[pos] = flips - z + d  # z - d of the flips were honest blocks
             for i, stream_k in enumerate(k.reshape(-1, count)):
                 k_counts[i] = _sum_counts([k_counts[i], np.bincount(stream_k)])
-            label = np.repeat(np.arange(race_count), count)  # the races lead the tile
+            label = np.repeat(np.arange(race_count, dtype=np.int32), count)  # races first
             # A trial capped in the wait may already have k > z; it is capped, not won.
             chase = k[: label.size] <= min(z, last_k)
             kc, keys = k[: label.size][chase], keys[: label.size][chase]
             # Past its wait's z + k draws, deficit z + 1 - k with budget z + surplus - k.
             yield _chase(keys, z + kc, z + 1 - kc, z + surplus - kc, label[chase], cap)
 
-    # (deficit, budget, label) rows, clamped as the races are: past _FLIP_LIMIT
-    # no barrier is reachable.
+    # (deficit, budget, label) rows, clamped as the races are: past far no
+    # barrier is reachable.
     per_cell = np.array(
-        [(min(d, _FLIP_LIMIT), min(b, _FLIP_LIMIT), race_count + i)
-         for i, (d, b, _) in enumerate(cells)],
-        dtype=np.int64,
+        [(min(d, far), min(b, far), race_count + i) for i, (d, b, _) in enumerate(cells)],
+        dtype=np.int32,
     ).reshape(-1, 3).T
     cell_tiles = (
-        _chase(keys, np.zeros(keys.size, np.int64), *np.repeat(per_cell, count, axis=1), cap)
+        _chase(keys, np.zeros(keys.size, np.int32), *np.repeat(per_cell, count, axis=1), cap)
         for count, keys in _tiles([s for _, _, s in cells], start, stop)
     )
     ends = np.zeros((2, race_count + len(cells)), dtype=np.int64)  # wins, capped
@@ -522,10 +528,13 @@ def _simulate(config: TrialConfig, trials: int, races=(), waits=(), cells=()):
     streams, live = [*races, *waits], [cell for cell in cells if cell[0]]
     for seed in streams + [cell[2] for cell in cells]:
         _check_seed(seed)
+    cap = DEFAULT_MAX_BLOCKS
+    if not 0 <= cap < _CAP_LIMIT:
+        raise ValueError(f"DEFAULT_MAX_BLOCKS must be in [0, {_CAP_LIMIT}), got {cap}")
     walks = trials * (len(streams) + len(live))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     shards = max(1, min(cpus, trials, walks // _SHARD_WALKS))
-    args = config, streams, len(races), live, DEFAULT_MAX_BLOCKS
+    args = config, streams, len(races), live, cap
     parts = _sharded(args, [i * trials // shards for i in range(shards + 1)])
     k_counts = [_sum_counts(c) for c in zip(*(k for k, _ in parts))]
     wins, capped = sum(ends for _, ends in parts)

@@ -70,6 +70,22 @@ def test_derive_seed_varies_with_each_index():
     assert derive_seed(9, 1, 2) != derive_seed(9, 2, 1)
 
 
+@pytest.mark.parametrize("index", [-1, 2**64, 2**64 + 5])
+def test_derive_seed_rejects_an_index_outside_64_bits(index):
+    with pytest.raises(ValueError, match=r"index must be in \[0, 2\*\*64\)"):
+        derive_seed(9, 1, index)
+    assert derive_seed(9, 2**64 - 1) != derive_seed(9, 0)  # the top index still maps
+
+
+def test_numpy_seeds_match_plain_ints_without_warnings():
+    config = TrialConfig(MiningPowerSplit(0.3), 3, 35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert derive_seed(np.uint64(5)) == derive_seed(5)
+        assert derive_seed(np.uint64(5), np.uint64(2**64 - 1)) == derive_seed(5, 2**64 - 1)
+        assert run_trials(config, 50, np.uint64(5)) == run_trials(config, 50, 5)
+
+
 POWER = MiningPowerSplit(0.3)
 # Every public entry point that takes a master seed, called with seed s.
 SEED_ENTRIES = {

@@ -253,6 +253,13 @@ class TestRunTrials:
         [
             (4, 2**70, 1_000, (4, 10**6)),
             (2**64, 35, 12, (10**6, 35)),
+            # Past int32 but inside int64: clamped to the cap + 1 like the rest.
+            (2**31 + 3, 35, 12, (10**6, 35)),
+            (4, 2**33, 1_000, (4, 10**6)),
+            # The depth clamp's edges: at z = cap only an all-honest wait ends,
+            # on the cap's last flip, and its chase is capped at once.
+            (12, 35, 12, (10**6, 35)),
+            (13, 35, 12, (10**6, 35)),
         ],
     )
     def test_values_beyond_int64_act_as_unreachable(
@@ -267,6 +274,11 @@ class TestRunTrials:
             plain.k_histogram,
             plain.capped_count,
         )
+
+    @pytest.mark.parametrize("z", [11, 12, 13, 2**33])
+    def test_depths_at_the_flip_cap_match_scalar_engine(self, monkeypatch, z):
+        set_flip_cap(monkeypatch, 12)
+        assert_matches_replay(TrialConfig(MiningPowerSplit(0.45), z, 2**40), 2_000, 44)
 
     def test_independent_of_batch_width(self, monkeypatch):
         config = TrialConfig(MiningPowerSplit(0.35), 3)
@@ -394,6 +406,14 @@ class TestEmpiricalCatchUp:
         set_flip_cap(monkeypatch, max_blocks)
         [observed] = empirical_catch_up(MiningPowerSplit(q), [(deficit, budget, 23)], 400)
         assert observed == scalar_catch_up(q, deficit, budget, 400, 23, max_blocks)
+
+    @pytest.mark.parametrize("q", [0.45, 0.9])
+    def test_cells_past_int32_match_scalar_walks_exactly(self, monkeypatch, q):
+        # A deficit of 12 wins only on the cap's last flip; 13 cannot win.
+        set_flip_cap(monkeypatch, 12)
+        cells = [(2**31 + 3, 2**33, 5), (3, 2**33, 6), (12, 2**31, 7), (13, 1, 8)]
+        observed = empirical_catch_up(MiningPowerSplit(q), cells, 400)
+        assert observed == [scalar_catch_up(q, d, b, 400, s, 12) for d, b, s in cells]
 
     @pytest.mark.parametrize("width", [1 << 14, 64])
     @pytest.mark.parametrize("max_blocks", [5, 12, 1_000_000])
@@ -590,11 +610,12 @@ def must_not_run(*args, **kwargs):
 
 
 def no_keys(*args, **kwargs):
-    raise AssertionError("drew trial keys before checking the trial count")
+    raise AssertionError("drew trial keys before checking the call's inputs")
 
 
 class TestTrialBound:
-    """Trial t's stream key is built from t + 1, so 2**64 trials cannot run."""
+    """Trial t's stream key is built from t + 1, so 2**64 trials cannot run;
+    int32 walk state bounds the flip cap."""
 
     ENTRY_POINTS = {
         "run_trials": lambda n: run_trials(TrialConfig(MiningPowerSplit(0.3), 2), n, 1),
@@ -617,6 +638,21 @@ class TestTrialBound:
         monkeypatch.setattr(simulate_module, "trial_keys", no_keys)
         with pytest.raises(ValueError, match=message):
             self.ENTRY_POINTS[entry](trials)
+
+    # Walk state is int32 and a barrier reaches 2 * (cap + 1), so caps stop at 2**30 - 2.
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_runs_at_the_largest_flip_cap(self, monkeypatch, entry):
+        expected = self.ENTRY_POINTS[entry](1_000)
+        set_flip_cap(monkeypatch, 2**30 - 2)
+        assert self.ENTRY_POINTS[entry](1_000) == expected  # no walk comes near either cap
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("cap", [-1, 2**30 - 1, 2**40])
+    def test_rejects_a_flip_cap_out_of_range_at_once(self, monkeypatch, entry, cap):
+        set_flip_cap(monkeypatch, cap)
+        monkeypatch.setattr(simulate_module, "trial_keys", no_keys)
+        with pytest.raises(ValueError, match=rf"must be in \[0, 1073741823\), got {cap}"):
+            self.ENTRY_POINTS[entry](1_000)
 
 
 def assert_no_child_left():
