@@ -45,8 +45,6 @@ __all__ = [
 
 # Raw results deviating from [0, 1] by more than this are bugs, not round-off.
 GUARD_BAND = 1e-9
-# |p - q| at or below this routes to the p == q formulas (avoids 0/0).
-EQUAL_POWER_TOL = 1e-12
 # Exponent policy: _pow_ratio takes base**n up to this n, exp(n log(base)) past it.
 _POW_DIRECT_MAX = 64
 # e**-rate underflows near 745; switch the pmf to log space well before that.
@@ -175,15 +173,15 @@ def _ruin(i: int, n: int, q: float) -> float:
     if i == n:
         return 1.0
     p = 1.0 - q
-    if abs(p - q) <= EQUAL_POWER_TOL:
+    if p == q:
         return _as_probability(i / n)
     if abs(p - q) < 1e-3:
         # Near a fair game 1 - ratio**m cancels, and the ratio's rounding is
         # a large share of its distance from 1: the powers gave 4e-9 relative
         # error at |p - q| = 4e-12, (i, n) = (1, 1000).  From the gap, exact
-        # here (Sterbenz), log1p/expm1 keep each factor to a few ulps.  From
-        # 1e-3 on the powers lose at most a few hundred ulps and keep their
-        # bits.
+        # here (Sterbenz) and nonzero, log1p/expm1 keep each factor to a few
+        # ulps at every gap.  From 1e-3 on the powers lose a few hundred ulps
+        # at most and keep their bits.
         lr = math.log1p(-abs(p - q) / max(p, q))  # log of the ratio below 1
         raw = math.expm1(i * lr) / math.expm1(n * lr)
         return _as_probability(raw if q > p else math.exp((n - i) * lr) * raw)

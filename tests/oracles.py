@@ -120,11 +120,15 @@ def ruin_by_linear_solve(i: int, n: int, q: float) -> float:
 
 
 def limited_catch_up(deficit: int, budget: int, q: float) -> float:
-    """Naive finite-budget catch-up probability (direct ratio powers)."""
+    """Naive finite-budget catch-up probability (direct ratio powers).
+
+    Only p == q, at q = 1/2, is a fair game.  Near it the powers cancel, so
+    the result loses digits there.
+    """
     if deficit == 0:
         return 1.0
     p = 1.0 - q
-    if abs(p - q) <= 1e-12:
+    if p == q:
         return budget / (budget + deficit)
     r = p / q
     return (1.0 - r**budget) / (1.0 - r ** (budget + deficit))
@@ -240,6 +244,40 @@ def budgeted_race_law(q: float, z: int, surplus: int = 35) -> float:
     return total
 
 
+def exact_race_closed_form(q: float, z: int, must_lead: bool) -> float:
+    """The race's success probability with no loss budget, for q < 1/2 and z >= 1.
+
+    The wait's k, attacker blocks before the z-th honest block, is negative
+    binomial, NB(k; z, p) = C(z+k-1, k) p**z q**k, and from deficit K - k the
+    attacker catches up with probability s**(K-k), s = q/p, where K = z + 1
+    (must lead, the corrected rule) or z (ties win, the original rule).
+    NB(k; z, p) s**(K-k) = s**(K-z) NB(k; z, q), so with k' ~ NB(z, q)
+
+        P = P(k >= K) + s**(K-z) P(k' <= K-1)
+          = 1 - I_p(z, K) + s**(K-z) I_q(z, K),
+
+    two regularized incomplete beta functions and no per-k sum.
+    """
+    p = 1.0 - q
+    k_top = z + 1 if must_lead else z
+    return float(1.0 - special.betainc(z, k_top, p)
+                 + (q / p) ** (k_top - z) * special.betainc(z, k_top, q))
+
+
+def ruin_mp(i: int, n: int, q: float) -> float:
+    """Gambler's Ruin win probability at 60 significant digits, rounded to a float.
+
+    (1 - r**i) / (1 - r**n) with r = p/q, and i/n only where p == q; p is the
+    float 1.0 - q, the model's input.
+    """
+    with mp.workdps(60):
+        q_, p_ = mp.mpf(q), mp.mpf(1.0 - q)
+        if p_ == q_:
+            return float(mp.mpf(i) / n)
+        r = p_ / q_
+        return float((1 - r**i) / (1 - r**n))
+
+
 def attack_success_mp(q: float, z: int, variant: str, surplus: int = 35) -> float:
     """attack_success at 60 significant digits, rounded to the nearest float.
 
@@ -247,13 +285,13 @@ def attack_success_mp(q: float, z: int, variant: str, surplus: int = 35) -> floa
     P(X >= K), each summed with mpmath's fsum: the pmf by its recurrence
     from e**-rate, the catch-up terms from their closed forms, and the tail
     term by term until it stops counting (mpmath's nsum mis-sums this
-    tail).  p is the float 1.0 - q, the model's input, and |p - q| <= 1e-12
-    is a fair game, the model's rule, so the comparison measures the
-    model's arithmetic and not its input or that rule.
+    tail).  p is the float 1.0 - q, the model's input, so the comparison
+    measures the model's arithmetic and not its input.  Only p == q is a
+    fair game, however close to 1/2 q lies.
     """
     with mp.workdps(60):
         q_, p_ = mp.mpf(q), mp.mpf(1.0 - q)
-        fair = abs(p_ - q_) <= mp.mpf(1e-12)
+        fair = p_ == q_
         lam = z * q_ / p_
         k_top = z if variant == "original" else z + 1
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import doublespend.model as model_module
 from doublespend import (
@@ -23,6 +23,7 @@ from doublespend import (
 )
 from oracles import (
     attack_success_closed_form, attack_success_images, attack_success_mp, attack_success_naive,
+    budgeted_race_law, exact_race_closed_form,
 )
 
 # Success probabilities published in the Bitcoin whitepaper (section 11) for
@@ -94,7 +95,8 @@ def success_from_rows(query):
 
 # q and z that reach every branch of the sum: a rate past the pmf's log-space
 # switch (z = 1000 at q >= 0.45), exponents past _POW_DIRECT_MAX, P below and
-# above 1/2, |p - q| just below and just above EQUAL_POWER_TOL, and q > p.
+# above 1/2, |p - q| either side of _ruin's near-fair switch at 1e-3 (down to
+# 8e-13, far inside it), and q > p.
 PLAIN_FLOAT_QS = [0.1, 0.3, 0.45, 0.5 - 4e-13, 0.5 - 6e-13, 0.55]
 PLAIN_FLOAT_ZS = [0, 1, 10, 70, 1000]
 
@@ -105,12 +107,9 @@ class TestPlainFloatTerms:
                  for z in PLAIN_FLOAT_ZS]
         assert max(rates) > model_module._PMF_LOGSPACE_RATE
         assert max(PLAIN_FLOAT_ZS) > model_module._POW_DIRECT_MAX
-        gaps = [abs((1.0 - q) - q) for q in PLAIN_FLOAT_QS]
-        assert any(0 < gap <= model_module.EQUAL_POWER_TOL for gap in gaps)
-        assert any(
-            model_module.EQUAL_POWER_TOL < gap < 2 * model_module.EQUAL_POWER_TOL
-            for gap in gaps
-        )
+        gaps = {abs((1.0 - q) - q) for q in PLAIN_FLOAT_QS}
+        assert any(0 < gap <= 1e-12 for gap in gaps)
+        assert {gap < 1e-3 for gap in gaps} == {True, False}
         values = [success(q, z, Variant.CORRECTED) for q in PLAIN_FLOAT_QS
                   for z in PLAIN_FLOAT_ZS]
         assert min(values) < 0.5 <= max(values)
@@ -259,11 +258,12 @@ class TestOneSeriesWhereTheBoundSettlesIt:
 
 # Every branch of the model: rate 700 either side (z = 1000 at q >= 0.45),
 # powers past _POW_DIRECT_MAX (z = 70), P below and above 1/2, q > p, and
-# |p - q| either side of EQUAL_POWER_TOL (8e-13, 1.2e-12) and of _ruin's
-# near-fair switch at 1e-3 (9.8e-4, 1.02e-3).
+# |p - q| either side of _ruin's near-fair switch at 1e-3 (9.8e-4, 1.02e-3)
+# and far inside it (1.2e-12, 8e-13, 9.8e-14), where i/n would be hundreds
+# to thousands of units off the budgeted value at z = 0.
 ORACLE_QS = [0.1, 0.3, 0.45] + [
     0.5 + sign * half_gap
-    for half_gap in (5.1e-4, 4.9e-4, 6e-13, 4e-13)
+    for half_gap in (5.1e-4, 4.9e-4, 6e-13, 4e-13, 4.9e-14)
     for sign in (-1, 1)
 ] + [0.55, 0.7]
 ORACLE_SPLITS = [(Variant.ORIGINAL, 35), (Variant.CORRECTED, 35),
@@ -276,16 +276,17 @@ def oracle_depths(q):
 
 class TestFloatErrorBound:
     """attack_success within 512 (z + 1) units of 2**-53, relative, of a
-    60-digit evaluation.  The largest seen in wider random sweeps, about 205
-    units at z = 0, lie just past |p - q| = 1e-3, where _ruin's powers still
-    cancel; past z = 0 the worst seen is under 10 (z + 1)."""
+    60-digit evaluation of the true law, fair only at p == q.  The largest
+    seen in wider random sweeps, about 205 units at z = 0, lie just past
+    |p - q| = 1e-3, where _ruin's powers still cancel; past z = 0 the worst
+    seen is under 10 (z + 1)."""
 
     def test_grid_reaches_every_branch(self):
         rates = [poisson_rate(z, MiningPowerSplit(q)) for q in ORACLE_QS
                  for z in oracle_depths(q)]
         assert min(rates) == 0.0 and max(rates) > model_module._PMF_LOGSPACE_RATE
         gaps = {abs((1.0 - q) - q) for q in ORACLE_QS}
-        assert {gap <= model_module.EQUAL_POWER_TOL for gap in gaps} == {True, False}
+        assert any(0 < gap <= 1e-12 for gap in gaps)
         assert {gap < 1e-3 for gap in gaps} == {True, False}
         values = [success(q, z, Variant.CORRECTED) for q in ORACLE_QS
                   for z in oracle_depths(q)]
@@ -373,6 +374,40 @@ class TestImageSeries:
                 )
 
 
+# (q, z) from (0.2, 1) to (0.45, 50).  The ties-win law is Grunspan and
+# Perez-Marco's I_{4pq}(z, 1/2) ("Double spend races", arXiv:1702.02867).
+EXACT_RACE_CELLS = [(0.4, 24), (0.1, 6), (0.3, 10), (0.45, 50), (0.2, 1)]
+
+
+class TestExactRaceClosedForm:
+    """The simulated race's law with no loss budget as two incomplete beta
+    functions, pinned three independent ways before the model uses it."""
+
+    @pytest.mark.parametrize("surplus", [1, 5, 35])
+    @pytest.mark.parametrize(("q", "z"), EXACT_RACE_CELLS)
+    def test_bounds_the_budgeted_race_law(self, q, z, surplus):
+        # From deficit d >= 1 the budget z + surplus - k lowers the catch-up
+        # term by s**(2d + surplus - 1) at most, s = q/p, so the two laws
+        # differ by at most s**(surplus + 1).  1e-14 covers float error.
+        gap = exact_race_closed_form(q, z, True) - budgeted_race_law(q, z, surplus)
+        assert -1e-14 <= gap <= (q / (1.0 - q)) ** (surplus + 1) + 1e-14
+
+    @pytest.mark.parametrize(("q", "z"), EXACT_RACE_CELLS)
+    def test_ties_win_form_is_the_incomplete_beta_at_4pq(self, q, z):
+        expected = special.betainc(z, 0.5, 4.0 * q * (1.0 - q))
+        assert exact_race_closed_form(q, z, False) == pytest.approx(expected, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("must_lead", [True, False])
+    def test_does_not_rise_in_depth(self, must_lead):
+        for q in [0.05 * i for i in range(1, 10)] + [0.49]:
+            values = [exact_race_closed_form(q, z, must_lead) for z in range(1, 300)]
+            assert all(b <= a * (1 + 1e-15) for a, b in zip(values, values[1:])), q
+
+
+# q over (0, 1/2), denser near 1/2, where a budgeted rise in z lasts longest.
+RISE_QS = [0.01] + [0.05 * i for i in range(1, 10)] + [0.48, 0.49, 0.495, 0.499]
+
+
 class TestAttackSuccess:
     def test_original_at_zero_depth_is_certain(self):
         assert success(0.3, 0, Variant.ORIGINAL) == 1.0
@@ -436,6 +471,23 @@ class TestAttackSuccess:
         assert rises == list(range(1, 108))
         values = [success(0.499, z, Variant.BUDGETED, 35) for z in range(60)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("surplus", [5, 10])
+    def test_budgeted_success_rises_only_at_the_first_depth_at_surplus_5_and_10(
+        self, surplus
+    ):
+        rises = set()
+        for q in RISE_QS:
+            values = [success(q, z, Variant.BUDGETED, surplus) for z in range(200)]
+            rises |= {z for z in range(1, 200) if values[z] > values[z - 1]}
+        assert rises == {1}
+
+    @pytest.mark.parametrize("surplus", [35, 100])
+    def test_budgeted_success_does_not_rise_in_depth_at_surplus_35_and_100(self, surplus):
+        # What a faster budgeted search may rely on for p > q at these surpluses.
+        for q in RISE_QS:
+            values = [success(q, z, Variant.BUDGETED, surplus) for z in range(200)]
+            assert all(a >= b for a, b in zip(values, values[1:])), q
 
     def test_correction_never_exceeds_original(self):
         for q in [0.05 * i for i in range(1, 10)]:

@@ -8,7 +8,7 @@ from doublespend import (
     catch_up_unlimited,
     ruin_win_probability,
 )
-from oracles import ruin_by_linear_solve
+from oracles import ruin_by_linear_solve, ruin_mp
 
 
 def ruin(i, n, q):
@@ -46,6 +46,17 @@ class TestRuinWinProbability:
         values = [ruin(i, n, q) for i in range(n + 1)]
         assert values[0] == 0.0 and values[-1] == 1.0
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("half_gap", [2.0**-53, 1e-15, 4e-13, 1e-12])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_near_fair_games_within_a_few_ulps(self, half_gap, sign):
+        # Only q == 1/2 is a fair game; a hair off it, i/n would be up to
+        # 1.8e8 units off at (1, 20035), and the near-fair form keeps a few.
+        q = 0.5 + sign * half_gap
+        assert q != 0.5
+        for i, n in [(1, 2), (1, 1000), (35, 70), (999, 1000), (1, 20035), (20034, 20035)]:
+            exact = ruin_mp(i, n, q)
+            assert abs(ruin(i, n, q) - exact) <= 4 * 2.0**-53 * exact, (i, n)
 
     def test_rejects_zero_target(self):
         with pytest.raises(ValueError):
