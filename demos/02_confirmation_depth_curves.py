@@ -7,7 +7,8 @@ attacker's chain grows faster than the honest one in expectation.
 
 Equivalent CLI invocation:
 
-    doublespend min-z --q-range 0.02:0.48:0.02 --target 0.001,0.01,0.1,0.5
+    doublespend min-z --target 0.001,0.01,0.1,0.5 \
+        --q 0.02,0.04,0.06,0.08,0.1,0.12,0.14,0.16,0.18,0.2,0.22,0.24,0.26,0.28,0.3,0.32,0.34,0.36,0.38,0.4,0.42,0.44,0.46,0.48,0.5,0.55
 """
 
 from doublespend import MiningPowerSplit, min_confirmations

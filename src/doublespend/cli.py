@@ -6,11 +6,11 @@ LF line endings.  All probability arithmetic and every rule on q, z, the
 surplus, the trial count and the seed live in the library, whose checks raise
 ValueError, which main prints as "error: <message>" with exit status 2; the
 model checks every min-z target before its first search.  This module only
-parses flags, caps work (MAX_Z, MAX_SURPLUS, MAX_TRIALS, MAX_Q_RANGE_VALUES),
-dispatches, and formats.  Each handler returns a head dict and a list of
-Blocks, which _render writes as CSV or JSON.  min-z answers all its targets
-for one q from one model scan.  simulate and validate import the simulator
-inside their handlers, so prob and min-z run without loading numpy.
+parses flags, caps work (MAX_Z, MAX_SURPLUS, MAX_TRIALS), dispatches, and
+formats.  Each handler returns a head dict and a list of Blocks, which
+_render writes as CSV or JSON.  min-z answers all its targets for one q from
+one model scan.  simulate and validate import the simulator inside their
+handlers, so prob and min-z run without loading numpy.
 
 simulate and validate take --seed in [0, 2**64), else 20090103.  The output
 is a function of argv alone: identical argv gives byte-identical output.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import NamedTuple
 
@@ -33,7 +32,6 @@ from .model import (
 DEFAULT_SEED = 20090103
 DEFAULT_TARGETS = (0.001, 0.01, 0.1, 0.5)
 DEFAULT_TRIALS = 100_000
-MAX_Q_RANGE_VALUES = 100_000
 # The closed-form model does O(z) work (about half a second at this z, in a
 # fresh process); a simulated walk stops at simulate.DEFAULT_MAX_BLOCKS
 # flips instead.
@@ -100,22 +98,6 @@ def _parse_list(text: str, flag: str, kind: type = float) -> list:
     return values
 
 
-def _parse_q_range(text: str) -> list[float]:
-    try:
-        start, stop, step = (float(part) for part in text.split(":"))
-    except ValueError:
-        raise ValueError(f"--q-range: expected START:STOP:STEP, got {text!r}")
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"--q-range: parts must be finite, got {text!r}")
-    if step <= 0 or stop < start:
-        raise ValueError("--q-range: need step > 0 and stop >= start")
-    span = (stop - start) / step + 1e-9
-    if span >= MAX_Q_RANGE_VALUES:
-        raise ValueError(f"--q-range: over {MAX_Q_RANGE_VALUES} values in {text!r}")
-    count = int(span) + 1
-    return [round(start + i * step, 12) for i in range(count)]
-
-
 def _at_most(value: int, name: str, high: int) -> int:
     """value, unless it is past one of this module's work caps."""
     if value > high:
@@ -142,12 +124,7 @@ def _cmd_prob(args) -> tuple[dict, list[Block]]:
 
 
 def _cmd_min_z(args) -> tuple[dict, list[Block]]:
-    if (args.q is None) == (args.q_range is None):
-        raise ValueError("min-z needs exactly one of --q or --q-range")
-    if args.q is None:
-        q_values = _parse_q_range(args.q_range)
-    else:
-        q_values = _parse_list(args.q, "--q")
+    q_values = _parse_list(args.q, "--q")
     targets = (
         DEFAULT_TARGETS if args.target is None else _parse_list(args.target, "--target")
     )
@@ -161,7 +138,7 @@ def _cmd_min_z(args) -> tuple[dict, list[Block]]:
             targets, _min_depths(power, targets, variant, args.surplus)
         )
     ]
-    csv = ("q", "target", "variant", "budget_surplus", "min_z")
+    csv = ("q", "target", *head, "min_z")
     return head, [Block("rows", csv, ("q", "target", "min_z"), rows, "inf")]
 
 
@@ -210,8 +187,8 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
     _at_most(args.surplus, "--surplus", MAX_SURPLUS)
     variant = Variant(args.variant)
     grid = SweepGrid(
-        q_values=tuple(q_values),
-        z_values=tuple(z_values),
+        q_values=q_values,
+        z_values=z_values,
         variant=variant,
         budget_surplus=args.surplus,
         trials=args.trials,
@@ -224,7 +201,7 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
         "trials": grid.trials,
         "seed": args.seed,
     }
-    csv = _CELL + ("variant", "budget_surplus", "trials", "seed") + _ERRORS
+    csv = (*_CELL, *head, *_ERRORS)
     json_columns = _CELL + _ERRORS + ("trials",)
     rows, reports = _sweep(grid, rows=True, reports=args.attribution)
     rows = [{**head, **_fields(row, json_columns)} for row in rows]
@@ -247,7 +224,6 @@ def _cmd_validate(args) -> tuple[dict, list[Block]]:
 _FLAGS = {
     "--q": dict(type=float, required=True),
     "--z": dict(type=int, required=True),
-    "--q-range": dict(help="START:STOP:STEP sweep"),
     "--target": dict(
         help=f"comma-separated targets (default {','.join(map(str, DEFAULT_TARGETS))})"
     ),
@@ -281,7 +257,7 @@ _COMMANDS = {
     "min-z": (
         "minimum confirmations for target success probabilities",
         dict(handler=_cmd_min_z),
-        (("--q", dict(help="comma-separated attacker powers")), "--q-range",
+        (("--q", dict(required=True, help="comma-separated attacker powers")),
          "--target", "--variant", "--surplus"),
     ),
     "simulate": (

@@ -14,14 +14,7 @@ import doublespend.cli as cli_module
 import doublespend.model as model_module
 import doublespend.simulate as simulate_module
 import doublespend.validate as validate_module
-from doublespend.cli import (
-    MAX_Q_RANGE_VALUES,
-    MAX_SURPLUS,
-    MAX_TRIALS,
-    MAX_Z,
-    _parse_q_range,
-    main,
-)
+from doublespend.cli import MAX_SURPLUS, MAX_TRIALS, MAX_Z, main
 from doublespend import (
     AttackQuery, MiningPowerSplit, SweepGrid, Variant, attack_success, run_attribution,
     run_validation,
@@ -137,7 +130,8 @@ class TestMinZ:
 
     def test_sweep_is_monotone_per_target(self, capsys):
         code, out, _ = run_cli(
-            "min-z", "--q-range", "0.04:0.44:0.04", capsys=capsys
+            "min-z", "--q", "0.04,0.08,0.12,0.16,0.2,0.24,0.28,0.32,0.36,0.4,0.44",
+            capsys=capsys,
         )
         assert code == 0
         (rows,) = parse_csv(out)
@@ -149,43 +143,30 @@ class TestMinZ:
             numeric = [float("inf") if v == "inf" else int(v) for v in values]
             assert numeric == sorted(numeric), target
 
-    def test_requires_exactly_one_q_flag(self, capsys):
-        code, _, err = run_cli("min-z", capsys=capsys)
-        assert code == 2
-        code, _, err = run_cli(
-            "min-z", "--q", "0.1", "--q-range", "0.1:0.2:0.1", capsys=capsys
-        )
-        assert code == 2
+    def test_requires_q(self):
+        proc = run_module("min-z", "--target", "0.1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "the following arguments are required: --q" in proc.stderr
+
+    def test_has_no_q_range_flag(self):
+        proc = run_module("min-z", "--q", "0.1", "--q-range", "0.1:0.2:0.1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --q-range" in proc.stderr
+        assert "--q-range" not in run_module("min-z", "--help").stdout
 
     def test_rejects_bad_target(self, capsys):
         code, _, err = run_cli("min-z", "--q", "0.1", "--target", "2", capsys=capsys)
         assert code == 2
         assert "target must be in (0, 1)" in err
 
-    @pytest.mark.parametrize(
-        "q_range", ["0.1:inf:0.1", "-inf:0.2:0.1", "0.1:0.2:nan", "nan:0.2:0.1"]
-    )
-    def test_rejects_non_finite_q_range(self, capsys, q_range):
-        code, out, err = run_cli("min-z", f"--q-range={q_range}", capsys=capsys)
+    @pytest.mark.parametrize("q", ["0.1,inf", "-inf", "0.1,0.2,nan", "nan,0.2"])
+    def test_rejects_non_finite_q(self, capsys, q):
+        code, out, err = run_cli("min-z", f"--q={q}", capsys=capsys)
         assert code == 2
         assert out == ""
-        assert "must be finite" in err
-
-    @pytest.mark.parametrize(
-        "q_range", ["0.1:0.2:1e-300", "0:0.5:1e-12", "0:1e308:1e-300", "0.1:0.2:1e-6"]
-    )
-    def test_rejects_q_range_with_too_many_values(self, capsys, q_range):
-        code, out, err = run_cli(
-            "min-z", "--q-range", q_range, "--target", "0.5", capsys=capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert "over 100000 values" in err
-
-    def test_q_range_at_the_value_limit_is_accepted(self):
-        values = _parse_q_range("0.1:0.199999:1e-6")
-        assert len(values) == MAX_Q_RANGE_VALUES
-        assert values[0] == 0.1 and values[-1] == 0.199999
+        assert "q must be in (0, 1), got " in err
 
 
 class TestSimulate:
@@ -581,9 +562,9 @@ CLI_SURFACE = {
         },
     ),
     "min-z": (
-        ["min-z"],
+        ["min-z", "--q", "0.3"],
         {
-            "command": "min-z", "q": None, "q_range": None, "target": None,
+            "command": "min-z", "q": "0.3", "target": None,
             "variant": "corrected", "surplus": 35, "format": "csv", "out": None,
             "handler": "_cmd_min_z",
         },
@@ -693,10 +674,9 @@ def test_an_empty_list_flag_exits_2(capsys, argv, message):
     [
         (["validate", "--z-values", "1,x", "--trials", "10"],
          "--z-values: expected comma-separated integers, got '1,x'"),
-        (["min-z", "--q-range", "0.1:0.2"],
-         "--q-range: expected START:STOP:STEP, got '0.1:0.2'"),
-        (["min-z", "--q-range", "0.2:0.1:0.1"], "--q-range: need step > 0 and stop >= start"),
-        (["min-z", "--q-range", "0.1:0.2:0"], "--q-range: need step > 0 and stop >= start"),
+        # The removed START:STOP:STEP form, written into --q, is not a list.
+        (["min-z", "--q", "0.1:0.2:0.1"],
+         "--q: expected comma-separated numbers, got '0.1:0.2:0.1'"),
         (["prob", "--q", "0.3", "--z", "2", "--variant", "budgeted", "--surplus", "0"],
          "budget_surplus must be >= 1"),
         # The 1/2 floor answers this query, but only after the surplus is checked.
@@ -711,8 +691,8 @@ def test_an_empty_list_flag_exits_2(capsys, argv, message):
           "--target", "0.1"],
          "budget_surplus must be >= 1"),
     ],
-    ids=["malformed-list", "malformed-range", "reversed-range", "zero-step", "surplus-0",
-         "min-z-surplus-0", "corrected-surplus-0", "original-min-z-surplus-minus-5"],
+    ids=["malformed-list", "range-in-q", "surplus-0", "min-z-surplus-0",
+         "corrected-surplus-0", "original-min-z-surplus-minus-5"],
 )
 def test_malformed_flags_exit_2(capsys, argv, message):
     assert handler_error(capsys, *argv) == message
