@@ -61,14 +61,6 @@ def _fields(record, names: tuple[str, ...]) -> dict:
     return {name: getattr(record, name) for name in names}
 
 
-def _fmt(value, none: str) -> str:
-    if value is None:
-        return none
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _render(fmt: str, head: dict, blocks: list[Block]) -> str:
     """JSON: the head, then each keyed block as a list of row objects.
     CSV: each block with CSV columns under its header, blank-line separated."""
@@ -82,7 +74,8 @@ def _render(fmt: str, head: dict, blocks: list[Block]) -> str:
     for block in blocks:
         if block.csv:
             lines = [",".join(block.csv)]
-            lines += (",".join(_fmt(r[c], block.none) for c in block.csv) for r in block.rows)
+            for r in block.rows:
+                lines.append(",".join(block.none if r[c] is None else str(r[c]) for c in block.csv))
             texts.append("\n".join(lines) + "\n")
     return "\n".join(texts)
 

@@ -227,10 +227,8 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
     position: a walk's next flip is the draw after it, the key advances with
     each flip, and a join carries it as it is.  Each flip adds honest to d, or attacker
     on an attacker block: (+1, -1) walks a chase's deficit, (-1, 0) counts
-    down the honest blocks a wait still needs.  No flip moves d by
-    more than 1, so no walk of a joined tile reaches 0 before min(d) flips or
-    its barrier before min(loss_at - d), and no end is tested before then;
-    cap is compared only once the step count reaches the smallest live one.
+    down the honest blocks a wait still needs.  cap is compared only once the
+    step count reaches the smallest live one.
     The next tile joins once _BATCH_WALKS // 8 or fewer walks are left, so
     the few long walks of a near-fair race share a loop of numpy calls with
     the next tile instead of holding one to themselves.  A walk that ends or
@@ -252,7 +250,7 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
     d = loss_at = cap = label = np.empty(0, dtype=np.int32)
     one_draw = advance_keys(np.uint64(0), 1)
     step = live = 0
-    cap_floor = end_floor = _CAP_LIMIT
+    cap_floor = _CAP_LIMIT
     more = True
     while live or more:
         joining = more and live <= _BATCH_WALKS // 8
@@ -269,7 +267,6 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
                 fresh = None  # the walk arrays alone hold the tile, so compaction frees it
                 live, step = keys.size, 0
                 cap_floor = np.min(cap, initial=_CAP_LIMIT)
-                end_floor = np.min(np.minimum(d, loss_at - d), initial=_CAP_LIMIT)
             continue
         if step >= cap_floor:
             running = d > 0
@@ -297,8 +294,6 @@ def _walk(threshold: np.uint64, tiles, honest: int, attacker: int):
                 move(d, hits, out=d)
             d += honest
             step = flips = step + 1
-            if step < end_floor:
-                continue
         reached = d == 0
         ended = reached | (d == loss_at)
         n_ended = np.count_nonzero(ended)

@@ -137,6 +137,19 @@ class TestPlainFloatTerms:
                     assert row.catch_up == catch_up_unlimited(deficit, power)
             assert rows[-1].catch_up == 1.0
 
+    # One more confirmation puts one more deficit, K + 1, in front of the
+    # catch-up list and leaves the rest as it was, so a scan over z could keep
+    # the list instead of rebuilding it at each depth.
+    @pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+    @pytest.mark.parametrize("surplus", [1, 35])
+    @pytest.mark.parametrize("q", PLAIN_FLOAT_QS)
+    def test_catch_up_list_grows_by_one_deficit_per_depth(self, q, surplus, variant):
+        power = MiningPowerSplit(q)
+        for z in PLAIN_FLOAT_ZS:
+            deeper = model_module._terms(AttackQuery(power, z + 1, variant, surplus))[1]
+            here = model_module._terms(AttackQuery(power, z, variant, surplus))[1]
+            assert deeper[1:] == here, z
+
     # attack_success hands each list to fsum largest term first, while
     # success_from_rows sums the rows from k = 0 up.  fsum is correctly
     # rounded, so its result does not depend on the order of its terms; equal
